@@ -238,8 +238,8 @@ def _cmd_hopf_solve(cfg: Config, payload: dict):
 
 
 def _cmd_hopf_check(cfg: Config, payload: dict):
-    if not (4 <= cfg.dim <= 16):
-        raise ConfigError(f"hopf-check needs 4 <= dim <= 16, got {cfg.dim}")
+    if not (4 <= cfg.dim <= 64):
+        raise ConfigError(f"hopf-check needs 4 <= dim <= 64, got {cfg.dim}")
     hp = _require_hopf(cfg)
     hc = hopf.solve_coefficients(hp)
     rep = fock.build(hp.base_params(), cfg.dim, x0=0.0)
@@ -258,6 +258,7 @@ def _cmd_hopf_check(cfg: Config, payload: dict):
     payload["coefficients"] = hc.as_dict()
     payload["results"] = [r for rep_ in reports for r in _report_results(rep_)]
     payload["diagnostics"] = reports[3].metadata["axiom_closure"]
+    payload["coassociativity"] = {k: reports[1].metadata[k] for k in ("entry_scale", "worst")}
     return payload, _results_csv(payload), _exit_from_results(payload)
 
 

@@ -17,13 +17,19 @@ diag(p**(-x_k)), diag(q**(x_k)) ("grading" mode).  Reading them instead
 as literal functions of N's eigenvalues ("literal" mode) agrees with the
 grading only at alpha = 1; for alpha != 1 literal mode is a documented
 negative case.  Truncation from below requires w_0 = 0, i.e. x0 = 0.
+
+Every generator has exactly one nonzero diagonal, so each is stored as
+a weighted shift: an (offset, weights) pair acting as
+|k> -> weights[k] |k + offset>.  Products of shifts are shifts, and the
+relation residuals and apply_word cost O(dim).  Dense matrices are built
+only on request, for display and tests.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -51,36 +57,103 @@ class DimensionMismatchError(ValueError):
     """Operand shapes do not match the representation dimension."""
 
 
+def shift_levels(w: np.ndarray, offsets: Sequence[int]) -> np.ndarray:
+    """out[k] = w[k + offsets], one offset per axis, zero where k + offsets leaves w."""
+    out = np.zeros_like(w)
+    src, dst = [], []
+    for off, n in zip(offsets, w.shape):
+        if abs(off) >= n:
+            return out
+        src.append(slice(max(off, 0), n + min(off, 0)))
+        dst.append(slice(max(-off, 0), n - max(off, 0)))
+    out[tuple(dst)] = w[tuple(src)]
+    return out
+
+
+def dense_matrix(terms: Mapping[tuple, np.ndarray], dim: int) -> np.ndarray:
+    """Densify a sum of weighted shifts on the product of len(key) sites.
+
+    Each key is an offset tuple and its array holds the weights indexed
+    by the input levels, so entry (k + offset, k) of the result is
+    terms[offset][k].  For display, tests and coproduct_matrix only.
+    """
+    sites = len(next(iter(terms)))
+    shape = (dim,) * sites
+    out = np.zeros((dim**sites, dim**sites))
+    cols = np.indices(shape)
+    for offsets, w in terms.items():
+        rows = cols + np.reshape(offsets, (sites,) + (1,) * sites)
+        ok = np.all((rows >= 0) & (rows < dim), axis=0)
+        r = np.ravel_multi_index(tuple(rows[:, ok]), shape)
+        c = np.ravel_multi_index(tuple(cols[:, ok]), shape)
+        out[r, c] += w[ok]
+    return out
+
+
+@dataclass(frozen=True)
+class Shift:
+    """Weighted shift |k> -> weights[k] |k + offset> on levels 0 .. dim-1.
+
+    weights[k] is zero wherever k + offset leaves the truncation.  A
+    product of shifts is again a shift, and each entry of the dense
+    product has exactly one nonzero term, so products computed here
+    equal the dense matrix products bit for bit.
+    """
+
+    offset: int
+    weights: np.ndarray
+
+    def __matmul__(self, other: "Shift") -> "Shift":
+        return Shift(
+            self.offset + other.offset,
+            shift_levels(self.weights, (other.offset,)) * other.weights,
+        )
+
+    def apply(self, vec: np.ndarray) -> np.ndarray:
+        return shift_levels(self.weights * vec, (-self.offset,))
+
+    def dense(self) -> np.ndarray:
+        return dense_matrix({(self.offset,): self.weights}, len(self.weights))
+
+
 @dataclass(frozen=True)
 class FockRep:
+    """Truncated representation; every generator is a weighted shift.
+
+    ops maps "1", "a", "a+", "N", "P", "Q" to their shifts: a has
+    offset -1 and weights sqrt(w_k), a+ offset +1 and weights
+    sqrt(w_{k+1}); N, P, Q and 1 are diagonal (offset 0).  The dense
+    matrices a, a_dag, n_op, p_op, q_op are read-only copies built on
+    request; no check reads them.
+    """
+
     params: DeformationParams
     dim: int
     x0: float
     nu0: float
     weights: np.ndarray  # length dim+1, w_k = bracket(x0 + l*k)
-    a: np.ndarray        # lowering: a[k-1, k] = sqrt(w_k)
-    a_dag: np.ndarray    # raising, transpose of a
-    n_op: np.ndarray     # diag(nu0 + l*k)
-    p_op: np.ndarray     # grading diagonal diag(p**(-x_k))
-    q_op: np.ndarray     # grading diagonal diag(q**(x_k))
+    ops: Mapping[str, Shift]
 
     @property
     def x_lattice(self) -> np.ndarray:
         return self.x0 + self.params.l * np.arange(self.dim)
 
-    def generator(self, symbol: str) -> np.ndarray:
-        table = {
-            "1": np.eye(self.dim),
-            "a": self.a,
-            "a+": self.a_dag,
-            "N": self.n_op,
-            "P": self.p_op,
-            "Q": self.q_op,
-        }
+    def generator(self, symbol: str) -> Shift:
         try:
-            return table[symbol]
+            return self.ops[symbol]
         except KeyError:
             raise KeyError(f"unknown generator symbol {symbol!r}") from None
+
+    def _dense(self, symbol: str) -> np.ndarray:
+        m = self.ops[symbol].dense()
+        m.flags.writeable = False
+        return m
+
+    a = property(lambda self: self._dense("a"), doc="dense lowering: a[k-1, k] = sqrt(w_k)")
+    a_dag = property(lambda self: self._dense("a+"), doc="dense raising, transpose of a")
+    n_op = property(lambda self: self._dense("N"), doc="dense diag(nu0 + l*k)")
+    p_op = property(lambda self: self._dense("P"), doc="dense grading diag(p**(-x_k))")
+    q_op = property(lambda self: self._dense("Q"), doc="dense grading diag(q**(x_k))")
 
 
 def _checked_exp_array(t: np.ndarray) -> np.ndarray:
@@ -121,62 +194,58 @@ def build(
         if weights[k] < -_NEGATIVE_WEIGHT_TOL * scale:
             raise NegativeWeightError(f"w_{k} = {weights[k]:.6g} < 0")
 
-    a = np.zeros((dim, dim))
-    for k in range(1, dim):
-        a[k - 1, k] = math.sqrt(max(weights[k], 0.0))
-    a_dag = a.T.copy()
-
+    lower = np.zeros(dim)
+    lower[1:] = np.sqrt(np.maximum(weights[1:dim], 0.0))
     lp = math.log(params.p)
     lq = math.log(params.q)
     x = x0 + params.l * np.arange(dim)
-    p_op = np.diag(_checked_exp_array(-x * lp))
-    q_op = np.diag(_checked_exp_array(x * lq))
-    n_op = np.diag(nu0 + params.l * np.arange(dim))
-
-    return FockRep(params, dim, x0, nu0, weights, a, a_dag, n_op, p_op, q_op)
-
-
-def interior_projector(dim: int, levels: int = 1) -> np.ndarray:
-    """Diagonal projector zeroing the top `levels` basis levels."""
-    pi = np.eye(dim)
-    for k in range(max(dim - levels, 0), dim):
-        pi[k, k] = 0.0
-    return pi
+    ops = {
+        "1": Shift(0, np.ones(dim)),
+        "a": Shift(-1, lower),
+        "a+": Shift(1, shift_levels(lower, (1,))),
+        "N": Shift(0, nu0 + params.l * np.arange(dim)),
+        "P": Shift(0, _checked_exp_array(-x * lp)),
+        "Q": Shift(0, _checked_exp_array(x * lq)),
+    }
+    return FockRep(params, dim, x0, nu0, weights, ops)
 
 
 def check_relations(rep: FockRep, mode: str = "grading", tol: float = 1e-10) -> CheckReport:
     """Residuals of the defining relations as matrix identities.
 
-    The two twisted relations are compared after projecting out the top
-    level, whose a a+ entry is corrupted by the truncation.  In grading
-    mode P, Q are the stored diagonals; in literal mode they are
+    The two twisted relations are compared on the interior levels only:
+    the top level's a a+ entry is corrupted by the truncation.  In
+    grading mode P, Q are the stored diagonals; in literal mode they are
     recomputed as diag(p**-(alpha*nu_k + beta)), diag(q**(alpha*nu_k +
-    beta)) from the eigenvalues nu_k of N.  Failures are reported, not
-    raised.
+    beta)) from the eigenvalues nu_k of N.  Every operator involved is a
+    weighted shift, so each residual is computed on one diagonal.
+    Failures are reported, not raised.
     """
     if mode not in ("grading", "literal"):
         raise ValueError(f"mode must be 'grading' or 'literal', got {mode!r}")
     params = rep.params
     if mode == "grading":
-        p_gen, q_gen = rep.p_op, rep.q_op
+        p_gen, q_gen = rep.ops["P"].weights, rep.ops["Q"].weights
     else:
         nu = rep.nu0 + params.l * np.arange(rep.dim)
         expo = params.alpha * nu + params.beta
-        p_gen = np.diag(_checked_exp_array(-expo * math.log(params.p)))
-        q_gen = np.diag(_checked_exp_array(expo * math.log(params.q)))
+        p_gen = _checked_exp_array(-expo * math.log(params.p))
+        q_gen = _checked_exp_array(expo * math.log(params.q))
 
-    a, ad, n_op = rep.a, rep.a_dag, rep.n_op
-    pi = interior_projector(rep.dim, levels=1)
+    a, ad, n_op = rep.ops["a"], rep.ops["a+"], rep.ops["N"]
+    a_ad = (a @ ad).weights
+    ad_a = (ad @ a).weights
+    interior = slice(0, rep.dim - 1)
     ql = params.q ** params.l
     pl = params.p ** (-params.l)
 
-    r_q = (a @ ad - ql * (ad @ a) - p_gen) @ pi
-    r_p = (a @ ad - pl * (ad @ a) - q_gen) @ pi
-    r_lower = n_op @ a - a @ n_op + params.l * a
-    r_raise = n_op @ ad - ad @ n_op - params.l * ad
+    r_q = (a_ad - ql * ad_a - p_gen)[interior]
+    r_p = (a_ad - pl * ad_a - q_gen)[interior]
+    r_lower = (n_op @ a).weights - (a @ n_op).weights + params.l * a.weights
+    r_raise = (n_op @ ad).weights - (ad @ n_op).weights - params.l * ad.weights
 
-    def mx(m: np.ndarray) -> float:
-        return float(np.max(np.abs(m)))
+    def mx(v: np.ndarray) -> float:
+        return float(np.max(np.abs(v), initial=0.0))
 
     entries = (
         CheckEntry("aa+ - q^l a+a = P", mx(r_q), tol),
@@ -205,5 +274,5 @@ def apply_word(rep: FockRep, word: Sequence[str], state: np.ndarray) -> np.ndarr
     if not np.all(np.isfinite(vec)):
         raise ValueError("state must be finite")
     for symbol in reversed(list(word)):
-        vec = rep.generator(symbol) @ vec
+        vec = rep.generator(symbol).apply(vec)
     return vec

@@ -31,6 +31,13 @@ the relation), and the antipode mutual-equality identity.  The full
 antipode axiom m(id (x) S)D(h) = eps(h) 1 visibly fails on these
 constants (for N the two sides differ by exactly 2*gamma); that gap is
 reported as a diagnostic, never asserted.
+
+Every one-site operator is a weighted shift (fock.Shift), so a tensor
+product of them is the outer product of their weight vectors under the
+tuple of their offsets.  The checks run on these: the three-site
+coassociativity residual costs O(dim^3) time and memory, the interior
+projector is a cut on the input levels, and no dense d^k x d^k matrix is
+built; coproduct_matrix densifies on request.
 """
 
 from __future__ import annotations
@@ -42,7 +49,7 @@ import numpy as np
 
 from .params import DeformationParams, require_nonzero_alpha, validate
 from .report import CheckEntry, CheckReport
-from .fock import FockRep, interior_projector
+from .fock import FockRep, Shift, dense_matrix, shift_levels
 
 
 class GammaUndefinedError(ArithmeticError):
@@ -224,14 +231,72 @@ def check_constraints(hc: HopfCoefficients, hp: HopfParams, tol: float = 1e-12) 
 
 _EXP_SYMBOLS = ("G1", "H2", "G3", "H4")
 
+# An operator on n sites is a sum of tensor products of weighted shifts,
+# stored as {offset tuple: weights}, the weights an n-dimensional array
+# indexed by the input levels (k_1, ..., k_n).  Entry (k + offset, k) of
+# the dense matrix is weights[k]; terms with different offset tuples
+# never share an entry, so sums and comparisons go offset by offset.
+Terms = dict[tuple, np.ndarray]
+
+
+def _add(acc: Terms, key: tuple, w: np.ndarray) -> None:
+    acc[key] = acc[key] + w if key in acc else w
+
+
+def _one_site(terms) -> Terms:
+    """Sum of (coef, Shift) pairs, in order."""
+    out: Terms = {}
+    for coef, shift in terms:
+        _add(out, (shift.offset,), coef * shift.weights)
+    return out
+
+
+def _matmul(x: Terms, y: Terms) -> Terms:
+    out: Terms = {}
+    for kx, wx in x.items():
+        for ky, wy in y.items():
+            _add(out, tuple(i + j for i, j in zip(kx, ky)), shift_levels(wx, ky) * wy)
+    return out
+
+
+def _compare(left: Terms, right: Terms, keep: int | None = None):
+    """Largest |left - right| over input levels below `keep` on every site.
+
+    Returns (residual, entry_scale, offsets, levels): entry_scale is the
+    largest compared |entry| of either side, and offsets, levels locate
+    the first worst entry.  A NaN anywhere is the residual.
+    """
+    peaks = []
+    scale = 0.0
+    for key in dict.fromkeys([*left, *right]):
+        lw, rw = left.get(key, 0.0), right.get(key, 0.0)
+        diff = lw - rw
+        inner = (slice(0, keep),) * diff.ndim
+        diff = np.abs(diff[inner])
+        if diff.size == 0:
+            continue
+        for w in (lw, rw):
+            if isinstance(w, np.ndarray):
+                scale = max(scale, float(np.max(np.abs(w[inner]))))
+        i = int(np.argmax(diff))
+        peaks.append((float(diff.flat[i]), key, np.unravel_index(i, diff.shape)))
+    if not peaks:
+        return 0.0, scale, None, None
+    residual, key, levels = peaks[int(np.argmax([p[0] for p in peaks]))]
+    return residual, scale, [int(o) for o in key], [int(k) for k in levels]
+
 
 class _HopfEvaluator:
-    """Matrix realization of the coproduct/counit/antipode rules.
+    """Weighted-shift realization of the coproduct/counit/antipode rules.
 
     The exponential factors are graded over the representation lattice:
     the slot `alpha*N` carries exponent x_k, so p^(-a1 N) becomes
     diag(p^(-(a1/alpha) x_k)), which for a1 = alpha/2 is the half
-    grading diag(p^(-x_k/2)).
+    grading diag(p^(-x_k/2)).  A tensor product of shifts is the outer
+    product of their weights under the tuple of their offsets.  Every
+    product is formed as coef * (A * (B * C)), the order in which the
+    dense Kronecker product multiplies, so the residuals equal those of
+    the dense tensor-product matrices bit for bit.
     """
 
     def __init__(self, rep: FockRep, hc: HopfCoefficients):
@@ -242,16 +307,17 @@ class _HopfEvaluator:
         self.p, self.q = p, q
         lp, lq = math.log(p), math.log(q)
         xt = rep.x_lattice / rep.params.alpha  # lattice carried by a bare N exponent
+        one, a, ad, n_op = (rep.ops[s] for s in ("1", "a", "a+", "N"))
 
-        self.mats = {
-            "1": np.eye(rep.dim),
-            "a": rep.a,
-            "a+": rep.a_dag,
-            "N": rep.n_op,
-            "G1": np.diag(np.exp(-hc.alpha1 * xt * lp)),
-            "H2": np.diag(np.exp(hc.alpha2 * xt * lq)),
-            "G3": np.diag(np.exp(-hc.alpha3 * xt * lp)),
-            "H4": np.diag(np.exp(hc.alpha4 * xt * lq)),
+        self.ops = {
+            "1": one,
+            "a": a,
+            "a+": ad,
+            "N": n_op,
+            "G1": Shift(0, np.exp(-hc.alpha1 * xt * lp)),
+            "H2": Shift(0, np.exp(hc.alpha2 * xt * lq)),
+            "G3": Shift(0, np.exp(-hc.alpha3 * xt * lp)),
+            "H4": Shift(0, np.exp(hc.alpha4 * xt * lq)),
         }
 
         self.delta = {
@@ -276,85 +342,95 @@ class _HopfEvaluator:
             "H4": q ** (hc.alpha4 * hc.c9),
         }
 
-        # Antipode matrices.  The affine rule on N and the twist on the
+        # Antipode shifts.  The affine rule on N and the twist on the
         # exponential factors use opposite signs of c12; the mutual-
         # equality identity on the ladder generators and the exact
         # 2*gamma closure gap on N both depend on this pairing.
-        eye = np.eye(rep.dim)
-        self.smats = {
-            "1": eye,
-            "a": -hc.c11 * rep.a,
-            "a+": -hc.c10 * rep.a_dag,
-            "N": hc.c12 * rep.n_op + hc.c13 * eye,
-            "G1": p ** (-hc.alpha1 * hc.c13) * np.diag(np.exp(hc.alpha1 * hc.c12 * xt * lp)),
-            "H2": q ** (hc.alpha2 * hc.c13) * np.diag(np.exp(-hc.alpha2 * hc.c12 * xt * lq)),
-            "G3": p ** (-hc.alpha3 * hc.c13) * np.diag(np.exp(hc.alpha3 * hc.c12 * xt * lp)),
-            "H4": q ** (hc.alpha4 * hc.c13) * np.diag(np.exp(-hc.alpha4 * hc.c12 * xt * lq)),
+        self.sops = {
+            "1": one,
+            "a": Shift(a.offset, -hc.c11 * a.weights),
+            "a+": Shift(ad.offset, -hc.c10 * ad.weights),
+            "N": Shift(0, hc.c12 * n_op.weights + hc.c13 * one.weights),
+            "G1": Shift(0, p ** (-hc.alpha1 * hc.c13) * np.exp(hc.alpha1 * hc.c12 * xt * lp)),
+            "H2": Shift(0, q ** (hc.alpha2 * hc.c13) * np.exp(-hc.alpha2 * hc.c12 * xt * lq)),
+            "G3": Shift(0, p ** (-hc.alpha3 * hc.c13) * np.exp(hc.alpha3 * hc.c12 * xt * lp)),
+            "H4": Shift(0, q ** (hc.alpha4 * hc.c13) * np.exp(-hc.alpha4 * hc.c12 * xt * lq)),
         }
 
-    def two_site(self, gen: str) -> np.ndarray:
-        d2 = self.rep.dim ** 2
-        out = np.zeros((d2, d2))
+    def two_site(self, gen: str) -> Terms:
+        out: Terms = {}
         for t, (s1, s2) in self.delta[gen]:
-            out += t * np.kron(self.mats[s1], self.mats[s2])
+            x, y = self.ops[s1], self.ops[s2]
+            _add(out, (x.offset, y.offset), t * np.multiply.outer(x.weights, y.weights))
         return out
 
-    def _three_site(self, gen: str, expand_slot: int) -> np.ndarray:
-        d3 = self.rep.dim ** 3
-        out = np.zeros((d3, d3))
+    def _three_site(self, gen: str, expand_slot: int) -> Terms:
+        out: Terms = {}
         for t, (s1, s2) in self.delta[gen]:
             if expand_slot == 2:
-                for t2, (u1, u2) in self.delta[s2]:
-                    out += t * t2 * np.kron(
-                        self.mats[s1], np.kron(self.mats[u1], self.mats[u2])
-                    )
+                terms = [(t * t2, (s1, u1, u2)) for t2, (u1, u2) in self.delta[s2]]
             else:
-                for t1, (u1, u2) in self.delta[s1]:
-                    out += t * t1 * np.kron(
-                        self.mats[u1], np.kron(self.mats[u2], self.mats[s2])
-                    )
+                terms = [(t * t1, (u1, u2, s2)) for t1, (u1, u2) in self.delta[s1]]
+            for coef, symbols in terms:
+                x, y, z = (self.ops[s] for s in symbols)
+                w = coef * np.multiply.outer(x.weights, np.multiply.outer(y.weights, z.weights))
+                _add(out, (x.offset, y.offset, z.offset), w)
         return out
 
-    def coassoc_residual(self, gen: str) -> float:
+    def coassoc_residual(self, gen: str):
+        """_compare of the two sides, on the interior (top two levels of each site cut)."""
         left = self._three_site(gen, expand_slot=2)
         right = self._three_site(gen, expand_slot=1)
-        pi = interior_projector(self.rep.dim, levels=2)
-        pi3 = np.kron(pi, np.kron(pi, pi))
-        return float(np.max(np.abs((left - right) @ pi3)))
+        return _compare(left, right, keep=max(self.rep.dim - 2, 0))
 
     def counit_residuals(self, gen: str) -> tuple[float, float]:
-        target = self.mats[gen]
-        left = sum(t * self.eps[s2] * self.mats[s1] for t, (s1, s2) in self.delta[gen])
-        right = sum(t * self.eps[s1] * self.mats[s2] for t, (s1, s2) in self.delta[gen])
-        return (
-            float(np.max(np.abs(left - target))),
-            float(np.max(np.abs(right - target))),
-        )
+        target = _one_site([(1.0, self.ops[gen])])
+        left = _one_site((t * self.eps[s2], self.ops[s1]) for t, (s1, s2) in self.delta[gen])
+        right = _one_site((t * self.eps[s1], self.ops[s2]) for t, (s1, s2) in self.delta[gen])
+        return _compare(left, target)[0], _compare(right, target)[0]
 
-    def antipode_sides(self, gen: str) -> tuple[np.ndarray, np.ndarray]:
-        m_id_s = sum(t * (self.mats[s1] @ self.smats[s2]) for t, (s1, s2) in self.delta[gen])
-        m_s_id = sum(t * (self.smats[s1] @ self.mats[s2]) for t, (s1, s2) in self.delta[gen])
+    def antipode_sides(self, gen: str) -> tuple[Terms, Terms]:
+        m_id_s = _one_site((t, self.ops[s1] @ self.sops[s2]) for t, (s1, s2) in self.delta[gen])
+        m_s_id = _one_site((t, self.sops[s1] @ self.ops[s2]) for t, (s1, s2) in self.delta[gen])
         return m_id_s, m_s_id
 
 
 def coproduct_matrix(rep: FockRep, hc: HopfCoefficients, gen: str) -> np.ndarray:
-    """Tensor-product matrix of the coproduct of a generator.
+    """Dense tensor-product matrix of the coproduct of a generator.
 
     gen is one of "1", "a", "a+", "N"; the result acts on the
-    dim**2-dimensional two-site space.
+    dim**2-dimensional two-site space.  The checks never build it.
     """
     if gen not in ("1", "a", "a+", "N"):
         raise ValueError(f"gen must be one of '1', 'a', 'a+', 'N', got {gen!r}")
-    return _HopfEvaluator(rep, hc).two_site(gen)
+    return dense_matrix(_HopfEvaluator(rep, hc).two_site(gen), rep.dim)
 
 
 def check_coassociativity(rep: FockRep, hc: HopfCoefficients, tol: float = 1e-10) -> CheckReport:
-    """(id (x) D)D(g) versus (D (x) id)D(g) on the three-site space."""
+    """(id (x) D)D(g) versus (D (x) id)D(g) on the three-site space.
+
+    Compared on input levels below dim - 2 on every site.  metadata
+    gives, per generator, entry_scale (the largest compared |entry| of
+    either side) and, in "worst", where the largest residual sits: the
+    generator, the offset triple and the input basis triple (k1, k2, k3).
+    """
     ev = _HopfEvaluator(rep, hc)
-    entries = tuple(
-        CheckEntry(f"coassoc {g}", ev.coassoc_residual(g), tol) for g in ("a", "a+", "N")
-    )
-    metadata = {"params": rep.params.as_dict(), "dim": rep.dim, "interior_levels": 2}
+    gens = ("a", "a+", "N")
+    found = [ev.coassoc_residual(g) for g in gens]
+    entries = tuple(CheckEntry(f"coassoc {g}", f[0], tol) for g, f in zip(gens, found))
+    i = int(np.argmax([f[0] for f in found]))
+    metadata = {
+        "params": rep.params.as_dict(),
+        "dim": rep.dim,
+        "interior_levels": 2,
+        "entry_scale": {g: f[1] for g, f in zip(gens, found)},
+        "worst": {
+            "generator": gens[i],
+            "residual": found[i][0],
+            "offset": found[i][2],
+            "basis": found[i][3],
+        },
+    }
     return CheckReport("hopf-coassociativity", entries, metadata)
 
 
@@ -377,13 +453,13 @@ def check_antipode(hc: HopfCoefficients, rep: FockRep, tol: float = 1e-10) -> Ch
     as diagnostics; for g = N the gap equals 2*|gamma| exactly.
     """
     ev = _HopfEvaluator(rep, hc)
-    eye = np.eye(rep.dim)
+    ones = ev.ops["1"].weights
     entries = []
     closure = {}
     for g in ("a", "a+", "N", "1"):
         m_id_s, m_s_id = ev.antipode_sides(g)
-        entries.append(CheckEntry(f"antipode mutual {g}", float(np.max(np.abs(m_id_s - m_s_id))), tol))
-        closure[g] = float(np.max(np.abs(m_id_s - ev.eps[g] * eye)))
+        entries.append(CheckEntry(f"antipode mutual {g}", _compare(m_id_s, m_s_id)[0], tol))
+        closure[g] = _compare(m_id_s, {(0,): ev.eps[g] * ones})[0]
     metadata = {
         "params": rep.params.as_dict(),
         "dim": rep.dim,
@@ -423,17 +499,17 @@ def check_homomorphism(
     ev = _HopfEvaluator(rep, hc)
     delta_a = ev.two_site("a")
     delta_ad = ev.two_site("a+")
-    lhs = delta_a @ delta_ad - hc.A * (delta_ad @ delta_a)
+    lhs = _matmul(delta_a, delta_ad)
+    for key, w in _matmul(delta_ad, delta_a).items():
+        _add(lhs, key, -hc.A * w)
 
     p, q, alpha, l = params.p, params.q, params.alpha, params.l
     den = p ** (-l) - q ** l
     coef_p = (p ** (-alpha * hc.gamma)) * (p ** (-hp.beta1) - hc.A * p ** (-hp.beta2)) / den
     coef_q = (q ** (alpha * hc.gamma)) * (q ** hp.beta1 - hc.A * q ** hp.beta2) / den
-    rhs = coef_p * np.kron(rep.p_op, rep.p_op) - coef_q * np.kron(rep.q_op, rep.q_op)
-
-    pi = interior_projector(rep.dim, levels=2)
-    pi2 = np.kron(pi, pi)
-    residual = float(np.max(np.abs((lhs - rhs) @ pi2)))
+    pw, qw = rep.ops["P"].weights, rep.ops["Q"].weights
+    rhs = {(0, 0): coef_p * np.multiply.outer(pw, pw) - coef_q * np.multiply.outer(qw, qw)}
+    residual = _compare(lhs, rhs, keep=max(rep.dim - 2, 0))[0]
 
     entries = (CheckEntry("homomorphism twisted relation", residual, tol),)
     metadata = {

@@ -102,6 +102,27 @@ def test_hopf_check_skips_homomorphism_when_offsets_equal(capsys):
     assert "diagnostics" in payload
 
 
+HOPF_CHECK_ARGS = [
+    "hopf-check", "--p", "2", "--q", "3", "--alpha", "1", "--l", "1",
+    "--beta1", "0.7", "--beta2", "0.7", "--no-timestamp",
+]
+
+
+def test_hopf_check_dim_cap(capsys):
+    for dim in ("3", "65"):
+        code, _, err = run_capture(capsys, HOPF_CHECK_ARGS + ["--dim", dim])
+        assert code == 2
+        assert "ConfigError" in err and "4 <= dim <= 64" in err
+    first = run_capture(capsys, HOPF_CHECK_ARGS + ["--dim", "64"])
+    again = run_capture(capsys, HOPF_CHECK_ARGS + ["--dim", "64"])
+    # the counit reads 0.125 at dim 64 against the absolute tol: exit 1
+    assert first[0] == again[0] == 1
+    assert first[1] == again[1]
+    coassoc = json.loads(first[1])["coassociativity"]
+    assert coassoc["worst"]["residual"] == 0.0
+    assert set(coassoc["entry_scale"]) == {"a", "a+", "N"}
+
+
 def test_config_file_and_flag_override(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("# fixture\np = 2\nq = 3\nalpha = 1\nbeta = 0\nl = 1\nn_max = 5\n")

@@ -1,0 +1,110 @@
+"""The weighted-shift checks against dense np.kron matrices at small dims.
+
+Coassociativity, counit and antipode keep the dense term and product
+order, so their residuals must match exactly.  The homomorphism check
+and the relation residuals may sum two products in another order than
+BLAS does; they must agree within 1e-14 of the compared entries' scale.
+"""
+
+from dataclasses import replace
+
+import numpy as np
+import pytest
+
+from pqosc import (
+    check_antipode,
+    check_coassociativity,
+    check_counit,
+    check_homomorphism,
+    check_relations,
+    coproduct_matrix,
+    solve_coefficients,
+    validate,
+    validate_hopf,
+)
+from pqosc.fock import build
+
+import dense_oracle
+
+GRID = [(p, q) for p in (0.5, 1.5, 2.0) for q in (0.3, 0.9, 3.0) if abs(p * q - 1.0) > 1e-9]
+PERTURBED = ("c1", "c4", "gamma", "alpha2")
+
+
+def hopf_case(p, q, beta, dim):
+    hp = validate_hopf(p, q, 1.0, 1.0, beta, beta)
+    return solve_coefficients(hp), build(hp.base_params(), dim, x0=0.0)
+
+
+def assert_hopf_matches_dense(hc, rep):
+    dense = dense_oracle.DenseHopf(rep, hc)
+    coassoc = check_coassociativity(rep, hc)
+    assert [e.residual for e in coassoc.entries] == dense.coassociativity()
+    counit = check_counit(hc, rep)
+    assert [e.residual for e in counit.entries] == dense.counit()
+    antipode = check_antipode(hc, rep)
+    mutual, closure = dense.antipode()
+    assert [e.residual for e in antipode.entries] == mutual
+    assert antipode.metadata["axiom_closure"] == closure
+
+
+@pytest.mark.parametrize("p,q", GRID)
+def test_acceptance_grid_matches_dense(p, q):
+    assert_hopf_matches_dense(*hopf_case(p, q, 0.7, 6))
+
+
+@pytest.mark.parametrize("field", PERTURBED)
+def test_perturbed_coefficients_match_dense(field):
+    hc, rep = hopf_case(2.0, 3.0, 0.7, 6)
+    assert_hopf_matches_dense(replace(hc, **{field: getattr(hc, field) * 1.01}), rep)
+
+
+def test_dim_eight_matches_dense():
+    assert_hopf_matches_dense(*hopf_case(0.5, 3.0, 2.0, 8))
+
+
+def test_coproduct_matrix_matches_kron():
+    hc, rep = hopf_case(2.0, 3.0, 0.7, 5)
+    dense = dense_oracle.DenseHopf(rep, hc)
+    for gen in ("1", "a", "a+", "N"):
+        assert np.array_equal(coproduct_matrix(rep, hc, gen), dense.two_site(gen))
+
+
+def test_homomorphism_matches_dense():
+    hp = validate_hopf(0.5, 3, 2, 1, 1.0, 0.0)
+    hc = solve_coefficients(hp)
+    rep = build(hp.base_params(), 8, x0=0.0)
+    want, scale = dense_oracle.DenseHopf(rep, hc).homomorphism(rep, hc, hp)
+    got = check_homomorphism(rep, hc, hp).max_residual()
+    assert abs(got - want) <= 1e-14 * scale
+
+
+@pytest.mark.parametrize("mode", ("grading", "literal"))
+@pytest.mark.parametrize("args", [(2, 3, 1, 0, 1), (0.5, 3, 2, 0, 1), (1.5, 0.3, 0.5, 0, 2)])
+def test_relations_match_dense(mode, args):
+    rep = build(validate(*args), 8)
+    want, scale = dense_oracle.relations(rep, mode)
+    got = [e.residual for e in check_relations(rep, mode).entries]
+    assert np.all(np.abs(np.subtract(got, want)) <= 1e-14 * scale)
+
+
+def test_dense_views_match_weights():
+    rep = build(validate(2, 3, 1, 0, 1), 7)
+    dense = dense_oracle.one_site(rep)
+    views = {"a": rep.a, "a+": rep.a_dag, "N": rep.n_op, "P": rep.p_op, "Q": rep.q_op}
+    for symbol, view in views.items():
+        assert np.array_equal(view, dense[symbol])
+        assert not view.flags.writeable
+
+
+def test_worst_location_points_at_dense_entry():
+    hc, rep = hopf_case(2.0, 3.0, 0.7, 6)
+    bad = replace(hc, c4=hc.c4 * 1.01)
+    report = check_coassociativity(rep, bad)
+    worst = report.metadata["worst"]
+    assert worst["residual"] == report.max_residual() > 0.0
+    dense = dense_oracle.DenseHopf(rep, bad)
+    diff = dense.three_site(worst["generator"], 2) - dense.three_site(worst["generator"], 1)
+    shape = (rep.dim,) * 3
+    col = np.ravel_multi_index(worst["basis"], shape)
+    row = np.ravel_multi_index(np.add(worst["basis"], worst["offset"]), shape)
+    assert abs(diff[row, col]) == worst["residual"]

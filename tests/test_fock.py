@@ -10,7 +10,15 @@ from pqosc import (
     pq_sum_oracle,
     validate,
 )
-from pqosc.fock import DimensionMismatchError, build, interior_projector
+from pqosc.fock import DimensionMismatchError, build
+
+
+def interior_projector(dim: int, levels: int = 1) -> np.ndarray:
+    """Diagonal projector zeroing the top `levels` basis levels."""
+    pi = np.eye(dim)
+    for k in range(max(dim - levels, 0), dim):
+        pi[k, k] = 0.0
+    return pi
 
 # weight fixture for (p=2, q=3, alpha=1, beta=0, l=1), frozen from the
 # summation oracle level by level

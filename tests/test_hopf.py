@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -133,6 +134,37 @@ def test_coassociativity_detects_perturbation(rep8, solved):
     _, hc = solved
     report = check_coassociativity(rep8, replace(hc, c1=hc.c1 * 1.01), tol=1e-10)
     assert report.entry("coassoc a+").residual > 1e-3
+
+
+def test_coassociativity_memory_stays_small(solved):
+    # the dense three-site matrices peaked at 114 MB here
+    hp, hc = solved
+    rep = build(hp.base_params(), 12, x0=0.0)
+    tracemalloc.start()
+    try:
+        check_coassociativity(rep, hc)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 1024**2
+
+
+def test_coassociativity_closes_at_dim_48(solved):
+    hp, hc = solved
+    rep = build(hp.base_params(), 48, x0=0.0)
+    assert check_coassociativity(rep, hc).max_residual() <= 1e-9
+
+
+def test_coassociativity_metadata(rep8, solved):
+    _, hc = solved
+    meta = check_coassociativity(rep8, hc).metadata
+    # interior N entries are nu_1 + nu_2 + nu_3 + 2 gamma, levels below dim - 2
+    assert meta["entry_scale"]["N"] == pytest.approx(3 * (rep8.dim - 3) + 2 * hc.gamma)
+    assert meta["entry_scale"]["a+"] > meta["entry_scale"]["N"]
+    worst = check_coassociativity(rep8, replace(hc, c1=hc.c1 * 1.01)).metadata["worst"]
+    assert worst["generator"] == "a+"
+    assert sum(worst["offset"]) == 1
+    assert all(0 <= k < rep8.dim - 2 for k in worst["basis"])
 
 
 def test_counit_closes(rep8, solved):
