@@ -6,22 +6,22 @@ one analytic family,
 
     f(n) = (p**(-alpha*n - beta) - q**(alpha*n + beta)) / (p**(-l) - q**l),
 
-and the classical schemes are special slices of it or independent
-catalog entries.  This script evaluates the catalog, cross-checks the general
-form against an explicit finite sum, and shows the p <-> 1/q symmetry.
+and the classical schemes are slices of it: each catalog entry maps to its
+parameters, evaluated with f_general.  This script evaluates the catalog,
+cross-checks the general form against an explicit finite sum, and shows the
+p <-> 1/q symmetry.
 """
 
 import numpy as np
 
 from pqosc import (
-    ArikCoon,
-    BiedenharnMacfarlane,
-    StandardQM,
-    TwoParameter,
+    arik_coon,
+    biedenharn_macfarlane,
     dual,
     f_general,
-    f_scheme,
     pq_sum_oracle,
+    standard_qm,
+    two_parameter,
     validate,
 )
 
@@ -34,16 +34,16 @@ def section(title):
 
 
 section("Catalog values at small n")
-schemes = [
-    ("standard oscillator", StandardQM()),
-    ("Arik-Coon q=0.5", ArikCoon(0.5)),
-    ("symmetric bracket q=2", BiedenharnMacfarlane(2.0)),
-    ("two-base p=2, q=3, l=1", TwoParameter(2.0, 3.0, 1.0)),
+catalog = [
+    ("Arik-Coon q=0.5", arik_coon(0.5)),
+    ("symmetric bracket q=2", biedenharn_macfarlane(2.0)),
+    ("two-base p=2, q=3, l=1", two_parameter(2.0, 3.0, 1.0)),
 ]
+rows = [("standard oscillator", [standard_qm(n) for n in range(5)])]
+rows += [(name, [f_general(n, params) for n in range(5)]) for name, params in catalog]
 print(f"{'scheme':>24} | " + " | ".join(f"n={n}" for n in range(5)))
-for name, scheme in schemes:
-    row = " | ".join(f"{f_scheme(scheme, n):9.4f}" for n in range(5))
-    print(f"{name:>24} | {row}")
+for name, values in rows:
+    print(f"{name:>24} | " + " | ".join(f"{v:9.4f}" for v in values))
 
 section("General form vs. the finite-sum oracle (alpha=1, beta=0, l=1)")
 params = validate(2.0, 3.0, 1.0, 0.0, 1.0)

@@ -20,20 +20,18 @@ from .params import (
     validate,
 )
 from .structure import (
-    ArikCoon,
-    ArikCoonGeneralized,
-    BMSymmetricGeneralized,
-    BiedenharnMacfarlane,
     ExponentOverflowError,
-    GeneralPQ,
-    Scheme,
-    StandardQM,
-    TwoParameter,
-    TwoParameterSymmetricGeneralized,
+    arik_coon,
+    arik_coon_generalized,
+    biedenharn_macfarlane,
+    bm_symmetric_generalized,
     bracket,
+    checked_exp,
     f_general,
-    f_scheme,
     pq_sum_oracle,
+    standard_qm,
+    two_parameter,
+    two_parameter_symmetric_generalized,
 )
 from .report import CheckEntry, CheckReport
 from .fock import (
@@ -80,17 +78,15 @@ __all__ = [
     "dual",
     "bracket",
     "f_general",
-    "f_scheme",
+    "checked_exp",
     "pq_sum_oracle",
-    "Scheme",
-    "StandardQM",
-    "ArikCoon",
-    "ArikCoonGeneralized",
-    "BiedenharnMacfarlane",
-    "BMSymmetricGeneralized",
-    "TwoParameter",
-    "TwoParameterSymmetricGeneralized",
-    "GeneralPQ",
+    "standard_qm",
+    "arik_coon",
+    "arik_coon_generalized",
+    "biedenharn_macfarlane",
+    "bm_symmetric_generalized",
+    "two_parameter",
+    "two_parameter_symmetric_generalized",
     "ExponentOverflowError",
     "CheckEntry",
     "CheckReport",

@@ -25,7 +25,7 @@ from typing import Iterable, Sequence
 
 from .params import DeformationParams, require_nonzero_alpha
 from .report import CheckEntry, CheckReport
-from .structure import EXP_LIMIT, ExponentOverflowError, f_general
+from .structure import checked_exp, f_general
 
 # Exponents are equal iff |e1 - e2| <= EXPONENT_TOL * (1 + |e1|); exponent
 # arithmetic is additive shifts of exact inputs, so drift stays bounded.
@@ -111,12 +111,7 @@ def dilation_op(s: ExpSeries, ratio: float, prefactor: float) -> ExpSeries:
     if not (ratio > 0.0):
         raise ValueError(f"ratio must be positive, got {ratio}")
     lr = math.log(ratio)
-    out = []
-    for e, c in s.terms:
-        if abs(e * lr) > EXP_LIMIT:
-            raise ExponentOverflowError(f"dilation exponent {e * lr:.3g} exceeds {EXP_LIMIT:g}")
-        out.append((e, c * prefactor * math.exp(e * lr)))
-    return ExpSeries.from_terms(out)
+    return ExpSeries.from_terms((e, c * prefactor * checked_exp(e * lr)) for e, c in s.terms)
 
 
 def check_realization(

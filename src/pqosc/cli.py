@@ -25,7 +25,7 @@ from typing import Optional
 from . import fock, hopf, spectrum as spectrum_mod
 from .calculus import check_realization
 from .params import DeformationParams, ParameterError, validate
-from .report import CheckReport
+from .report import CheckEntry, CheckReport
 from .structure import ExponentOverflowError, f_general
 
 _PARAM_KEYS = ("p", "q", "alpha", "beta", "l")
@@ -131,11 +131,9 @@ def parse_config(source: str) -> Config:
 # ---------------------------------------------------------------------------
 
 
-def _report_results(report: CheckReport) -> list[dict]:
-    return [
-        {"label": e.label, "residual": e.residual, "tol": e.tol, "pass": e.passed}
-        for e in report.entries
-    ]
+def _results(*reports: CheckReport) -> list[dict]:
+    """The result rows of the reports, in order."""
+    return [row for report in reports for row in report.to_dict()["results"]]
 
 
 def _emit(payload: dict, cfg_fmt: str, out_path: Optional[str], csv_rows) -> None:
@@ -182,14 +180,10 @@ def _cmd_numbers(cfg: Config, payload: dict):
 def _cmd_spectrum(cfg: Config, payload: dict):
     table = spectrum_mod.spectrum_table(cfg.params, cfg.n_max)
     duality = spectrum_mod.check_pq_inversion(cfg.params, cfg.n_max, cfg.tol)
-    payload["results"] = [
-        {
-            "label": "three-form agreement",
-            "residual": table.max_form_spread(),
-            "tol": cfg.tol,
-            "pass": table.max_form_spread() <= cfg.tol,
-        }
-    ] + _report_results(duality)
+    forms = CheckReport(
+        "spectrum-forms", (CheckEntry("three-form agreement", table.max_form_spread(), cfg.tol),)
+    )
+    payload["results"] = _results(forms, duality)
     payload["table"] = [
         {"n": n, "lambda": main, "form32": fq, "form34": fp} for n, main, fq, fp in table.rows
     ]
@@ -200,20 +194,25 @@ def _cmd_spectrum(cfg: Config, payload: dict):
     return payload, csv_rows, _exit_from_results(payload)
 
 
+def _relations_report(cfg: Config) -> CheckReport:
+    """Relation residuals at one point, tol relative to the largest ladder weight."""
+    rep = fock.build(cfg.params, cfg.dim)
+    maxweight = float(max(abs(w) for w in rep.weights))
+    return fock.check_relations(rep, cfg.mode, cfg.tol * maxweight)
+
+
 def _cmd_rep_check(cfg: Config, payload: dict):
     if cfg.dim < 4:
         raise ConfigError(f"rep-check needs dim >= 4, got {cfg.dim}")
-    rep = fock.build(cfg.params, cfg.dim)
-    maxweight = float(max(abs(w) for w in rep.weights))
-    report = fock.check_relations(rep, cfg.mode, cfg.tol * maxweight)
-    payload["results"] = _report_results(report)
+    report = _relations_report(cfg)
+    payload["results"] = _results(report)
     payload["metadata"] = report.metadata
     return payload, _results_csv(payload), _exit_from_results(payload)
 
 
 def _cmd_calculus_check(cfg: Config, payload: dict):
     report = check_realization(cfg.params, _CALCULUS_EXPONENTS, cfg.tol)
-    payload["results"] = _report_results(report)
+    payload["results"] = _results(report)
     payload["metadata"] = report.metadata
     return payload, _results_csv(payload), _exit_from_results(payload)
 
@@ -231,7 +230,7 @@ def _cmd_hopf_solve(cfg: Config, payload: dict):
     hc = hopf.solve_coefficients(hp)
     constraints = hopf.check_constraints(hc, hp, min(cfg.tol, 1e-12))
     payload["coefficients"] = hc.as_dict()
-    payload["results"] = _report_results(constraints)
+    payload["results"] = _results(constraints)
     rows = [("coefficient:" + k, repr(v), "", "") for k, v in hc.as_dict().items()]
     rows += _results_csv(payload)[1]
     return payload, (("label", "residual", "tol", "pass"), rows), _exit_from_results(payload)
@@ -256,7 +255,7 @@ def _cmd_hopf_check(cfg: Config, payload: dict):
         payload["homomorphism"] = "skipped: beta1 - beta2 != l"
 
     payload["coefficients"] = hc.as_dict()
-    payload["results"] = [r for rep_ in reports for r in _report_results(rep_)]
+    payload["results"] = _results(*reports)
     payload["diagnostics"] = reports[3].metadata["axiom_closure"]
     payload["coassociativity"] = {k: reports[1].metadata[k] for k in ("entry_scale", "worst")}
     return payload, _results_csv(payload), _exit_from_results(payload)
@@ -274,11 +273,8 @@ def _cmd_sweep(cfg_values: dict, payload: dict):
         values.update(dict(zip(grid_keys, combo)))
         point = {k: values.get(k) for k in _PARAM_KEYS}
         try:
-            cfg = build_config(values)
-            rep = fock.build(cfg.params, cfg.dim)
-            maxweight = float(max(abs(w) for w in rep.weights))
-            report = fock.check_relations(rep, cfg.mode, cfg.tol * maxweight)
-            point["results"] = _report_results(report)
+            report = _relations_report(build_config(values))
+            point["results"] = _results(report)
             if not report.passed:
                 any_fail = True
         except (ParameterError, fock.FockError, ConfigError, ExponentOverflowError) as exc:

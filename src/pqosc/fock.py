@@ -35,7 +35,7 @@ import numpy as np
 
 from .params import DeformationParams
 from .report import CheckEntry, CheckReport
-from .structure import EXP_LIMIT, ExponentOverflowError, bracket
+from .structure import bracket, checked_exp
 
 _LOWEST_WEIGHT_TOL = 1e-12
 _NEGATIVE_WEIGHT_TOL = 1e-14
@@ -156,13 +156,6 @@ class FockRep:
     q_op = property(lambda self: self._dense("Q"), doc="dense grading diag(q**(x_k))")
 
 
-def _checked_exp_array(t: np.ndarray) -> np.ndarray:
-    worst = float(np.max(np.abs(t))) if t.size else 0.0
-    if worst > EXP_LIMIT:
-        raise ExponentOverflowError(f"exponent magnitude {worst:.3g} exceeds {EXP_LIMIT:g}")
-    return np.exp(t)
-
-
 def build(
     params: DeformationParams,
     dim: int,
@@ -204,8 +197,8 @@ def build(
         "a": Shift(-1, lower),
         "a+": Shift(1, shift_levels(lower, (1,))),
         "N": Shift(0, nu0 + params.l * np.arange(dim)),
-        "P": Shift(0, _checked_exp_array(-x * lp)),
-        "Q": Shift(0, _checked_exp_array(x * lq)),
+        "P": Shift(0, checked_exp(-x * lp)),
+        "Q": Shift(0, checked_exp(x * lq)),
     }
     return FockRep(params, dim, x0, nu0, weights, ops)
 
@@ -229,8 +222,8 @@ def check_relations(rep: FockRep, mode: str = "grading", tol: float = 1e-10) -> 
     else:
         nu = rep.nu0 + params.l * np.arange(rep.dim)
         expo = params.alpha * nu + params.beta
-        p_gen = _checked_exp_array(-expo * math.log(params.p))
-        q_gen = _checked_exp_array(expo * math.log(params.q))
+        p_gen = checked_exp(-expo * math.log(params.p))
+        q_gen = checked_exp(expo * math.log(params.q))
 
     a, ad, n_op = rep.ops["a"], rep.ops["a+"], rep.ops["N"]
     a_ad = (a @ ad).weights

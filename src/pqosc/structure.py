@@ -6,47 +6,81 @@ The central object is the two-base bracket
 
 an analytic function of a real argument x.  The general five-parameter
 structure function is f(n) = bracket(alpha*n + beta).  The classical
-one- and two-parameter schemes (Arik-Coon, the symmetric q-bracket, the
-plain two-base bracket, and their generalized forms) are provided as a
-catalog alongside it, plus an independent finite-sum oracle used by the
-test suite.
+schemes that are this function at fixed parameters (Arik-Coon, the
+symmetric q-bracket and its generalized form, the plain two-base
+bracket and its generalized form) are catalogued as maps to their
+DeformationParams.  Only the undeformed oscillator and the generalized
+Arik-Coon scheme keep a formula of their own.  An independent
+finite-sum oracle for the test suite closes the module.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Union
 
-from .params import (
-    DeformationParams,
-    DegenerateDenominatorError,
-    NonPositiveBaseError,
-)
+import numpy as np
+
+from .params import DeformationParams, validate
 
 # |exponent| * |ln(base)| beyond which exp() would overflow a double.
 EXP_LIMIT = 700.0
-
-_BASE_GUARD = 1e-12
 
 
 class ExponentOverflowError(ArithmeticError):
     """An exponential magnitude left the double-precision range."""
 
 
-def _checked_exp(t: float) -> float:
-    if abs(t) > EXP_LIMIT:
-        raise ExponentOverflowError(f"exponent magnitude {abs(t):.3g} exceeds {EXP_LIMIT:g}")
-    return math.exp(t)
+def checked_exp(t):
+    """exp(t) for a float or an array of floats.
+
+    Raises ExponentOverflowError when some |t| exceeds EXP_LIMIT.
+    """
+    if isinstance(t, np.ndarray):
+        worst, exp = float(np.max(np.abs(t), initial=0.0)), np.exp
+    else:
+        worst, exp = abs(t), math.exp
+    if worst > EXP_LIMIT:
+        raise ExponentOverflowError(f"exponent magnitude {worst:.3g} exceeds {EXP_LIMIT:g}")
+    return exp(t)
 
 
 def bracket(x: float, params: DeformationParams) -> float:
-    """(p**(-x) - q**x) / (p**(-l) - q**l) for real x."""
+    """(p**(-x) - q**x) / (p**(-l) - q**l) for real x.
+
+    Evaluated without cancellation as
+
+        exp((x - l)(ln q - ln p)/2) * sinh(x L/2) / sinh(l L/2),  L = ln(p q),
+
+    which stays accurate up to the singular surface (p q)**l = 1.  Raises
+    ExponentOverflowError when one of p**(-x), q**x, p**(-l), q**l has an
+    exponent beyond EXP_LIMIT.  Where the exponential factor or a partial
+    product leaves the double range although the bracket need not, the
+    same formula is evaluated in logarithms.
+    """
     lp = math.log(params.p)
     lq = math.log(params.q)
-    num = _checked_exp(-x * lp) - _checked_exp(x * lq)
-    den = _checked_exp(-params.l * lp) - _checked_exp(params.l * lq)
-    return num / den
+    l = params.l
+    ax, al = abs(x), abs(l)
+    alp, alq = abs(lp), abs(lq)
+    worst = (ax if ax > al else al) * (alp if alp > alq else alq)
+    if worst > EXP_LIMIT:
+        raise ExponentOverflowError(f"exponent magnitude {worst:.3g} exceeds {EXP_LIMIT:g}")
+    half_ln_pq = 0.5 * (lp + lq)
+    h = 0.5 * (x - l) * (lq - lp)
+    if -EXP_LIMIT <= h <= EXP_LIMIT:
+        value = math.exp(h) * math.sinh(x * half_ln_pq) / math.sinh(l * half_ln_pq)
+        if value - value == 0.0:  # finite: no partial product overflowed
+            return value
+    # The guard keeps both sinh arguments within EXP_LIMIT.
+    num = math.sinh(x * half_ln_pq)
+    if num == 0.0:
+        return 0.0
+    den = math.sinh(l * half_ln_pq)
+    try:
+        magnitude = math.exp(h + math.log(abs(num)) - math.log(abs(den)))
+    except OverflowError:
+        magnitude = math.inf
+    return math.copysign(magnitude, num) * math.copysign(1.0, den)
 
 
 def f_general(n: float, params: DeformationParams) -> float:
@@ -69,136 +103,45 @@ def pq_sum_oracle(n: int, p: float, q: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Scheme catalog
+# Scheme catalog: evaluate the parameter maps with f_general.  Each raises
+# what validate raises: NonPositiveBaseError, or DegenerateDenominatorError
+# where (p*q)**l = 1 within its guard.
 # ---------------------------------------------------------------------------
 
 
-def _check_base(name: str, value: float) -> None:
-    if not (value > 0.0) or not math.isfinite(value):
-        raise NonPositiveBaseError(f"{name} must be a positive finite real, got {value}")
-
-
-@dataclass(frozen=True)
-class StandardQM:
+def standard_qm(n: float) -> float:
     """Undeformed oscillator: f(n) = n/2."""
+    return 0.5 * n
 
 
-@dataclass(frozen=True)
-class ArikCoon:
-    q: float
-
-    def __post_init__(self):
-        _check_base("q", self.q)
-        if abs(self.q - 1.0) <= _BASE_GUARD:
-            raise DegenerateDenominatorError("Arik-Coon needs q != 1")
+def arik_coon(q: float) -> DeformationParams:
+    """Arik-Coon, f(n) = (1 - q**n) / (1 - q): p = 1."""
+    return validate(1.0, q, 1.0, 0.0, 1.0)
 
 
-@dataclass(frozen=True)
-class ArikCoonGeneralized:
-    q: float
-    alpha: float
-    beta: float
-
-    def __post_init__(self):
-        _check_base("q", self.q)
-        if abs(self.q - 1.0) <= _BASE_GUARD:
-            raise DegenerateDenominatorError("generalized Arik-Coon needs q != 1")
+def arik_coon_generalized(n: float, q: float, alpha: float, beta: float) -> float:
+    """Generalized Arik-Coon, f(n) = q**(alpha*n + beta) * (1 - q**n) / (1 - q)."""
+    params = arik_coon(q)
+    return checked_exp((alpha * n + beta) * math.log(params.q)) * f_general(n, params)
 
 
-@dataclass(frozen=True)
-class BiedenharnMacfarlane:
-    q: float
-
-    def __post_init__(self):
-        _check_base("q", self.q)
-        if abs(self.q - 1.0) <= _BASE_GUARD:
-            raise DegenerateDenominatorError("symmetric bracket needs q != 1")
+def biedenharn_macfarlane(q: float) -> DeformationParams:
+    """Symmetric bracket, f(n) = (q**-n - q**n) / (q**-1 - q): p = q."""
+    return validate(q, q, 1.0, 0.0, 1.0)
 
 
-@dataclass(frozen=True)
-class BMSymmetricGeneralized:
-    q: float
-    alpha: float
-    beta: float
-
-    def __post_init__(self):
-        _check_base("q", self.q)
-        if abs(self.q - 1.0) <= _BASE_GUARD:
-            raise DegenerateDenominatorError("symmetric bracket needs q != 1")
+def bm_symmetric_generalized(q: float, alpha: float, beta: float) -> DeformationParams:
+    """Symmetric bracket at x = alpha*n + beta."""
+    return validate(q, q, alpha, beta, 1.0)
 
 
-@dataclass(frozen=True)
-class TwoParameter:
-    p: float
-    q: float
-    l: float
-
-    def __post_init__(self):
-        _check_base("p", self.p)
-        _check_base("q", self.q)
-        if abs(self.l * math.log(self.p * self.q)) <= _BASE_GUARD:
-            raise DegenerateDenominatorError("two-base bracket needs (p*q)**l != 1")
+def two_parameter(p: float, q: float, l: float) -> DeformationParams:
+    """Two-base bracket at x = n, f(n) = (p**-n - q**n) / (p**-l - q**l)."""
+    return validate(p, q, 1.0, 0.0, l)
 
 
-@dataclass(frozen=True)
-class TwoParameterSymmetricGeneralized:
-    p: float
-    q: float
-    alpha: float
-    beta: float
-    l: float
-
-    def __post_init__(self):
-        _check_base("p", self.p)
-        _check_base("q", self.q)
-        if abs(self.l * math.log(self.p * self.q)) <= _BASE_GUARD:
-            raise DegenerateDenominatorError("two-base bracket needs (p*q)**l != 1")
-
-
-@dataclass(frozen=True)
-class GeneralPQ:
-    params: DeformationParams
-
-
-Scheme = Union[
-    StandardQM,
-    ArikCoon,
-    ArikCoonGeneralized,
-    BiedenharnMacfarlane,
-    BMSymmetricGeneralized,
-    TwoParameter,
-    TwoParameterSymmetricGeneralized,
-    GeneralPQ,
-]
-
-
-def f_scheme(scheme: Scheme, n: float) -> float:
-    """Evaluate the structure function of a catalog scheme at real n."""
-    if isinstance(scheme, StandardQM):
-        return 0.5 * n
-    if isinstance(scheme, ArikCoon):
-        lq = math.log(scheme.q)
-        return (1.0 - _checked_exp(n * lq)) / (1.0 - scheme.q)
-    if isinstance(scheme, ArikCoonGeneralized):
-        lq = math.log(scheme.q)
-        x = scheme.alpha * n + scheme.beta
-        return _checked_exp(x * lq) * (1.0 - _checked_exp(n * lq)) / (1.0 - scheme.q)
-    if isinstance(scheme, BiedenharnMacfarlane):
-        lq = math.log(scheme.q)
-        return (_checked_exp(-n * lq) - _checked_exp(n * lq)) / (1.0 / scheme.q - scheme.q)
-    if isinstance(scheme, BMSymmetricGeneralized):
-        lq = math.log(scheme.q)
-        x = scheme.alpha * n + scheme.beta
-        return (_checked_exp(-x * lq) - _checked_exp(x * lq)) / (1.0 / scheme.q - scheme.q)
-    if isinstance(scheme, TwoParameter):
-        lp = math.log(scheme.p)
-        lq = math.log(scheme.q)
-        num = _checked_exp(-n * lp) - _checked_exp(n * lq)
-        den = _checked_exp(-scheme.l * lp) - _checked_exp(scheme.l * lq)
-        return num / den
-    if isinstance(scheme, TwoParameterSymmetricGeneralized):
-        params = DeformationParams(scheme.p, scheme.q, scheme.alpha, scheme.beta, scheme.l)
-        return f_general(n, params)
-    if isinstance(scheme, GeneralPQ):
-        return f_general(n, scheme.params)
-    raise TypeError(f"not a scheme: {scheme!r}")
+def two_parameter_symmetric_generalized(
+    p: float, q: float, alpha: float, beta: float, l: float
+) -> DeformationParams:
+    """The general five-parameter scheme."""
+    return validate(p, q, alpha, beta, l)

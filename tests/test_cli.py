@@ -49,6 +49,17 @@ def test_hopf_solve_gamma_undefined_exit_three(capsys):
     assert "GammaUndefined" in err
 
 
+def test_numbers_overflow_boundary_exit_three(capsys):
+    # q**n needs n ln 3 <= EXP_LIMIT = 700: n = 637 gives 699.8, n = 638 gives 700.9
+    code, out, _ = run_capture(capsys, ["numbers", "--p", "2", "--q", "3", "--n-max", "637"])
+    assert code == 0
+    assert len(json.loads(out)["table"]) == 638
+    code, out, err = run_capture(capsys, ["numbers", "--p", "2", "--q", "3", "--n-max", "638"])
+    assert code == 3
+    assert out == ""
+    assert "ExponentOverflowError" in err
+
+
 def test_rep_check_literal_alpha_two_fails(capsys):
     code, out, _ = run_capture(
         capsys,

@@ -1,23 +1,25 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from pqosc import (
-    ArikCoon,
-    ArikCoonGeneralized,
-    BMSymmetricGeneralized,
-    BiedenharnMacfarlane,
     DegenerateDenominatorError,
     ExponentOverflowError,
-    GeneralPQ,
-    StandardQM,
-    TwoParameter,
-    TwoParameterSymmetricGeneralized,
+    NonPositiveBaseError,
+    arik_coon,
+    arik_coon_generalized,
+    biedenharn_macfarlane,
+    bm_symmetric_generalized,
+    bracket,
+    checked_exp,
     dual,
     f_general,
-    f_scheme,
     pq_sum_oracle,
+    standard_qm,
+    two_parameter,
+    two_parameter_symmetric_generalized,
     validate,
 )
 
@@ -60,48 +62,95 @@ def test_oracle_equivalence_on_grid(p, q):
 
 
 def test_scheme_values():
-    assert f_scheme(StandardQM(), 4) == 2.0
-    assert f_scheme(ArikCoon(0.5), 3) == pytest.approx(1.75, rel=1e-15)
-    assert f_scheme(BiedenharnMacfarlane(2.0), 2) == pytest.approx(2.5, rel=1e-15)
+    assert standard_qm(4) == 2.0
+    assert f_general(3, arik_coon(0.5)) == pytest.approx(1.75, rel=1e-15)
+    assert f_general(2, biedenharn_macfarlane(2.0)) == pytest.approx(2.5, rel=1e-15)
     # generalized Arik-Coon: q^(alpha n + beta) * (1 - q^n) / (1 - q)
-    got = f_scheme(ArikCoonGeneralized(0.5, 2.0, 1.0), 3)
+    got = arik_coon_generalized(3, 0.5, 2.0, 1.0)
     assert got == pytest.approx(0.5 ** 7 * 1.75, rel=1e-14)
     # symmetric generalized bracket at alpha*n + beta = 2
-    got = f_scheme(BMSymmetricGeneralized(2.0, 0.5, 1.0), 2)
+    got = f_general(2, bm_symmetric_generalized(2.0, 0.5, 1.0))
     assert got == pytest.approx(2.5, rel=1e-14)
+
+
+def test_scheme_formulas():
+    """Each catalog map reproduces its scheme's textbook formula."""
+    for q in Q_GRID:
+        for n in (-2.0, 0.0, 1.0, 2.5, 7.0):
+            want = (1 - q ** n) / (1 - q)
+            assert f_general(n, arik_coon(q)) == pytest.approx(want, rel=1e-14, abs=1e-14)
+            want = (q ** -n - q ** n) / (q ** -1 - q)
+            assert f_general(n, biedenharn_macfarlane(q)) == pytest.approx(
+                want, rel=1e-14, abs=1e-14
+            )
+            x = 0.5 * n + 0.25
+            want = (q ** -x - q ** x) / (q ** -1 - q)
+            assert f_general(n, bm_symmetric_generalized(q, 0.5, 0.25)) == pytest.approx(
+                want, rel=1e-14, abs=1e-14
+            )
 
 
 def test_two_parameter_matches_general_at_unit_slope():
     for p in P_GRID:
         for q in Q_GRID:
-            params = validate(p, q, 1, 0, 1)
-            for n in (-2.0, 0.0, 1.0, 2.5, 7.0):
-                a = f_scheme(TwoParameter(p, q, 1.0), n)
-                b = f_general(n, params)
-                assert abs(a - b) <= 1e-14 * (1 + abs(b))
+            for l in (0.5, 1.0, 2.0):
+                assert two_parameter(p, q, l) == validate(p, q, 1, 0, l)
 
 
 def test_general_schemes_delegate(base_params):
-    n = 2.75
-    want = f_general(n, base_params)
-    assert f_scheme(GeneralPQ(base_params), n) == want
-    assert f_scheme(
-        TwoParameterSymmetricGeneralized(2.0, 3.0, 1.0, 0.0, 1.0), n
-    ) == pytest.approx(want, rel=1e-15)
+    assert two_parameter_symmetric_generalized(2.0, 3.0, 1.0, 0.0, 1.0) == base_params
+    assert two_parameter_symmetric_generalized(0.7, 1.9, 2.0, 0.3, 0.5) == validate(
+        0.7, 1.9, 2.0, 0.3, 0.5
+    )
 
 
 def test_scheme_guards():
     with pytest.raises(DegenerateDenominatorError):
-        ArikCoon(1.0)
+        arik_coon(1.0)
     with pytest.raises(DegenerateDenominatorError):
-        BiedenharnMacfarlane(1.0)
+        biedenharn_macfarlane(1.0)
     with pytest.raises(DegenerateDenominatorError):
-        TwoParameter(2.0, 0.5, 1.0)
+        two_parameter(2.0, 0.5, 1.0)
+    with pytest.raises(DegenerateDenominatorError):
+        arik_coon_generalized(2, 1.0, 1.0, 0.0)
+    with pytest.raises(NonPositiveBaseError):
+        arik_coon(0.0)
+    with pytest.raises(NonPositiveBaseError):
+        bm_symmetric_generalized(-2.0, 1.0, 0.0)
+    with pytest.raises(ExponentOverflowError):
+        arik_coon_generalized(3, 2.0, 400.0, 0.0)
 
 
 def test_overflow_reported(base_params):
     with pytest.raises(ExponentOverflowError):
         f_general(1000, base_params)
+
+
+@pytest.mark.parametrize("p, q", [(2.0, 3.0), (0.5, 0.3), (1.0, 3.0), (3.0, 0.5)])
+@pytest.mark.parametrize("l", [1.0, -2.0, 300.0])
+def test_overflow_guard_is_the_four_exponents(p, q, l):
+    """bracket raises exactly when one of p**-x, q**x, p**-l, q**l has |exponent| > 700."""
+    lp, lq = math.log(p), math.log(q)
+    params = validate(p, q, 1.0, 0.0, l)
+    edge = 700.0 / max(abs(lp), abs(lq))
+    for x in (0.0, 1.5, edge, -edge, math.nextafter(edge, math.inf), 2 * edge, -2 * edge):
+        exponents = (-x * lp, x * lq, -l * lp, l * lq)
+        if max(abs(t) for t in exponents) > 700.0:
+            with pytest.raises(ExponentOverflowError):
+                bracket(x, params)
+        else:
+            bracket(x, params)
+
+
+def test_checked_exp_scalar_and_array():
+    assert checked_exp(700.0) == math.exp(700.0)
+    assert type(checked_exp(-1.5)) is float
+    t = np.array([-700.0, 0.0, 2.5, 700.0])
+    assert np.array_equal(checked_exp(t), np.exp(t))
+    assert checked_exp(np.array([])).size == 0
+    for bad in (math.nextafter(700.0, math.inf), -701.0, np.array([0.0, -700.5])):
+        with pytest.raises(ExponentOverflowError):
+            checked_exp(bad)
 
 
 def test_zero_locus():
