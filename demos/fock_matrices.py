@@ -22,15 +22,16 @@ params = validate(2.0, 3.0, 1.0, 0.0, 1.0)
 rep = build(params, dim=4)
 
 print("weights w_k = bracket(l*k):", np.round(rep.weights, 6))
+a, a_dag = rep.generator("a").dense(), rep.generator("a+").dense()
 print("\nlowering matrix a:")
-print(rep.a)
+print(a)
 print("\nraising matrix a+ (transpose of a):")
-print(rep.a_dag)
+print(a_dag)
 print("\nnumber operator N:")
-print(rep.n_op)
+print(rep.generator("N").dense())
 
 print("\nHamiltonian diagonal a+a + aa+ (interior):",
-      np.round(np.diag(rep.a_dag @ rep.a + rep.a @ rep.a_dag)[:3], 6))
+      np.round(np.diag(a_dag @ a + a @ a_dag)[:3], 6))
 
 for alpha in (1.0, 2.0):
     params = validate(2.0, 3.0, alpha, 0.0, 1.0)

@@ -13,7 +13,9 @@ named-residual CheckReport.
 from .params import (
     DeformationParams,
     DegenerateDenominatorError,
+    NegativeWeightError,
     NonPositiveBaseError,
+    NotLowestWeightError,
     ParameterError,
     ZeroAlphaError,
     dual,
@@ -34,13 +36,6 @@ from .structure import (
     two_parameter_symmetric_generalized,
 )
 from .report import CheckEntry, CheckReport
-from .fock import (
-    FockRep,
-    NegativeWeightError,
-    NotLowestWeightError,
-    apply_word,
-    check_relations,
-)
 from .calculus import ExpSeries, check_realization, d_op, dilation_op, euler_op, mult_op
 from .spectrum import (
     SpectrumTable,
@@ -50,21 +45,45 @@ from .spectrum import (
     lambda_n,
     spectrum_table,
 )
-from .hopf import (
+from .coefficients import (
     ADegenerateError,
     Beta1Beta2MismatchError,
     GammaUndefinedError,
     HopfCoefficients,
     HopfParams,
-    check_antipode,
-    check_coassociativity,
     check_constraints,
-    check_counit,
-    check_homomorphism,
-    coproduct_matrix,
     solve_coefficients,
     validate_hopf,
 )
+
+# Names whose modules import numpy load on first access (PEP 562), so that
+# `import pqosc` and the scalar CLI commands never import it.
+_LAZY = {
+    "FockRep": "fock",
+    "apply_word": "fock",
+    "check_relations": "fock",
+    "coproduct_matrix": "hopf",
+    "check_coassociativity": "hopf",
+    "check_counit": "hopf",
+    "check_antipode": "hopf",
+    "check_homomorphism": "hopf",
+}
+_LAZY_MODULES = ("fock", "hopf")
+
+
+def __getattr__(name: str):
+    from importlib import import_module
+
+    if name in _LAZY_MODULES:
+        return import_module(f"{__name__}.{name}")
+    if name in _LAZY:
+        return getattr(import_module(f"{__name__}.{_LAZY[name]}"), name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_LAZY, *_LAZY_MODULES})
+
 
 __version__ = "0.1.0"
 

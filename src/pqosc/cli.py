@@ -8,6 +8,10 @@ stdout or `--out` as JSON (default) or CSV.
 Exit codes: 0 all checks pass, 1 at least one check failed (reports are
 still emitted), 2 invalid parameters or config, 3 internal numeric
 failure (overflow, undefined gamma); the message names the error.
+
+numbers, spectrum, calculus-check and hopf-solve are scalar and import
+no numpy: fock and hopf, which need it, are imported only by the
+handlers of rep-check, hopf-check and sweep.
 """
 
 from __future__ import annotations
@@ -22,9 +26,14 @@ from datetime import datetime, timezone
 from itertools import product
 from typing import Optional
 
-from . import fock, hopf, spectrum as spectrum_mod
-from .calculus import check_realization
-from .params import DeformationParams, ParameterError, validate
+from . import coefficients, spectrum as spectrum_mod
+from .params import (
+    DeformationParams,
+    DimensionMismatchError,
+    FockError,
+    ParameterError,
+    validate,
+)
 from .report import CheckEntry, CheckReport
 from .structure import ExponentOverflowError, f_general
 
@@ -95,6 +104,11 @@ def read_pairs(source: str, allow_lists: bool = False) -> dict:
     return out
 
 
+def _check_n_max(n_max: int) -> None:
+    if n_max < 0:
+        raise ConfigError(f"n_max must be nonnegative, got {n_max}")
+
+
 def build_config(values: dict) -> Config:
     """Fill defaults, validate, and produce a Config."""
     merged = dict(_DEFAULTS)
@@ -108,6 +122,7 @@ def build_config(values: dict) -> Config:
         raise ConfigError(f"format must be 'json' or 'csv', got {merged['format']!r}")
     if merged["tol"] <= 0:
         raise ConfigError(f"tol must be positive, got {merged['tol']}")
+    _check_n_max(merged["n_max"])
     params = validate(merged["p"], merged["q"], merged["alpha"], merged["beta"], merged["l"])
     return Config(
         params=params,
@@ -196,6 +211,8 @@ def _cmd_spectrum(cfg: Config, payload: dict):
 
 def _relations_report(cfg: Config) -> CheckReport:
     """Relation residuals at one point, tol relative to the largest ladder weight."""
+    from . import fock
+
     rep = fock.build(cfg.params, cfg.dim)
     maxweight = float(max(abs(w) for w in rep.weights))
     return fock.check_relations(rep, cfg.mode, cfg.tol * maxweight)
@@ -211,24 +228,26 @@ def _cmd_rep_check(cfg: Config, payload: dict):
 
 
 def _cmd_calculus_check(cfg: Config, payload: dict):
+    from .calculus import check_realization
+
     report = check_realization(cfg.params, _CALCULUS_EXPONENTS, cfg.tol)
     payload["results"] = _results(report)
     payload["metadata"] = report.metadata
     return payload, _results_csv(payload), _exit_from_results(payload)
 
 
-def _require_hopf(cfg: Config) -> hopf.HopfParams:
+def _require_hopf(cfg: Config) -> coefficients.HopfParams:
     if cfg.beta1 is None or cfg.beta2 is None:
         raise ConfigError("hopf commands need beta1 and beta2")
-    return hopf.validate_hopf(
+    return coefficients.validate_hopf(
         cfg.params.p, cfg.params.q, cfg.params.alpha, cfg.params.l, cfg.beta1, cfg.beta2
     )
 
 
 def _cmd_hopf_solve(cfg: Config, payload: dict):
     hp = _require_hopf(cfg)
-    hc = hopf.solve_coefficients(hp)
-    constraints = hopf.check_constraints(hc, hp, min(cfg.tol, 1e-12))
+    hc = coefficients.solve_coefficients(hp)
+    constraints = coefficients.check_constraints(hc, hp, min(cfg.tol, 1e-12))
     payload["coefficients"] = hc.as_dict()
     payload["results"] = _results(constraints)
     rows = [("coefficient:" + k, repr(v), "", "") for k, v in hc.as_dict().items()]
@@ -239,12 +258,14 @@ def _cmd_hopf_solve(cfg: Config, payload: dict):
 def _cmd_hopf_check(cfg: Config, payload: dict):
     if not (4 <= cfg.dim <= 64):
         raise ConfigError(f"hopf-check needs 4 <= dim <= 64, got {cfg.dim}")
+    from . import fock, hopf
+
     hp = _require_hopf(cfg)
-    hc = hopf.solve_coefficients(hp)
+    hc = coefficients.solve_coefficients(hp)
     rep = fock.build(hp.base_params(), cfg.dim, x0=0.0)
 
     reports = [
-        hopf.check_constraints(hc, hp, min(cfg.tol, 1e-12)),
+        coefficients.check_constraints(hc, hp, min(cfg.tol, 1e-12)),
         hopf.check_coassociativity(rep, hc, cfg.tol),
         hopf.check_counit(hc, rep, cfg.tol),
         hopf.check_antipode(hc, rep, cfg.tol),
@@ -277,7 +298,7 @@ def _cmd_sweep(cfg_values: dict, payload: dict):
             point["results"] = _results(report)
             if not report.passed:
                 any_fail = True
-        except (ParameterError, fock.FockError, ConfigError, ExponentOverflowError) as exc:
+        except (ParameterError, FockError, ConfigError, ExponentOverflowError) as exc:
             point["error"] = f"{type(exc).__name__}: {exc}"
             any_fail = True
         points.append(point)
@@ -361,6 +382,7 @@ def run(argv: list[str]) -> int:
                     raise ConfigError(f"missing required parameter {key!r}")
             merged = dict(_DEFAULTS)
             merged.update(values)
+            _check_n_max(merged["n_max"])
             fmt = merged["format"]
             payload["grid"] = {
                 k: list(v) for k, v in merged.items() if isinstance(v, tuple)
@@ -394,12 +416,12 @@ def run(argv: list[str]) -> int:
             payload["timestamp"] = datetime.now(timezone.utc).isoformat()
         _emit(payload, fmt, args.out, csv_rows)
         return code
-    except (ConfigError, ParameterError, fock.FockError, fock.DimensionMismatchError,
-            hopf.Beta1Beta2MismatchError, OSError) as exc:
+    except (ConfigError, ParameterError, FockError, DimensionMismatchError,
+            coefficients.Beta1Beta2MismatchError, OSError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
-    except (ExponentOverflowError, hopf.GammaUndefinedError, hopf.ADegenerateError,
-            ArithmeticError) as exc:
+    except (ExponentOverflowError, coefficients.GammaUndefinedError,
+            coefficients.ADegenerateError, ArithmeticError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
 

@@ -1,0 +1,209 @@
+"""Coproduct coefficient system: the scalar solve and its constraints.
+
+The algebra admits a coproduct / counit / antipode ansatz
+
+    D(a+) = c1 a+ (x) p^(-a1 N) + c2 q^(a2 N) (x) a+
+    D(a)  = c3 a  (x) p^(-a3 N) + c4 q^(a4 N) (x) a
+    D(N)  = c5 N (x) 1 + c6 1 (x) N + gamma 1 (x) 1
+    eps(a+) = c7,  eps(a) = c8,  eps(N) = c9
+    S(a+) = -c10 a+,  S(a) = -c11 a,  S on N affine via c12, c13
+
+whose constants are pinned by the structure axioms.  With the symmetric
+split a1 = a2 = a3 = a4 = alpha/2 the solution is
+
+    A     = (q/p)**(alpha*l/2)
+    gamma = ln(R) / (alpha * ln(p*q)),
+    R     = (q**b1 - A*q**b2) / (p**(-b1) - A*p**(-b2))
+    c1 = p**(-a1*gamma), c2 = q**(a2*gamma), likewise c3, c4
+    c5 = c6 = 1, c7 = c8 = 0, c9 = -gamma,
+    c10 = c11 = c12 = -1, c13 = 0.
+
+gamma exists only when R > 0; R <= 0 raises GammaUndefinedError (for
+instance p = q with b1 != b2 gives R = -q**(b1+b2) < 0, and b1 - b2 = l
+gives R < 0 whenever A falls between p**(-l) and q**l, which at
+alpha = 1 it always does, being their geometric mean).
+
+Everything here is scalar, on math; the tensor-product checks of the
+same constants are in hopf.
+"""
+
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass
+
+from .params import DeformationParams, ParameterError, require_nonzero_alpha, validate
+from .report import CheckEntry, CheckReport
+
+
+class GammaUndefinedError(ArithmeticError):
+    """The scalar equation for gamma has no real solution (R <= 0)."""
+
+
+class ADegenerateError(ArithmeticError):
+    """The denominator of the R ratio vanishes."""
+
+
+class Beta1Beta2MismatchError(ValueError):
+    """The relation check needs beta1 - beta2 = l."""
+
+
+@dataclass(frozen=True)
+class HopfParams:
+    """Algebra data for the coefficient solve: bases, slope, step, offsets."""
+
+    p: float
+    q: float
+    alpha: float
+    l: float
+    beta1: float
+    beta2: float
+
+    def base_params(self) -> DeformationParams:
+        """Offset-free deformation tuple used to build representations."""
+        return DeformationParams(self.p, self.q, self.alpha, 0.0, self.l)
+
+    def as_dict(self) -> dict:
+        return {
+            "p": self.p,
+            "q": self.q,
+            "alpha": self.alpha,
+            "l": self.l,
+            "beta1": self.beta1,
+            "beta2": self.beta2,
+        }
+
+
+def validate_hopf(p, q, alpha, l, beta1, beta2) -> HopfParams:
+    validate(p, q, alpha, 0.0, l)
+    beta1, beta2 = float(beta1), float(beta2)
+    if not (math.isfinite(beta1) and math.isfinite(beta2)):
+        raise ParameterError(f"offsets must be finite, got beta1={beta1}, beta2={beta2}")
+    return HopfParams(float(p), float(q), float(alpha), float(l), beta1, beta2)
+
+
+@dataclass(frozen=True)
+class HopfCoefficients:
+    alpha1: float
+    alpha2: float
+    alpha3: float
+    alpha4: float
+    A: float
+    gamma: float
+    c1: float
+    c2: float
+    c3: float
+    c4: float
+    c5: float
+    c6: float
+    c7: float
+    c8: float
+    c9: float
+    c10: float
+    c11: float
+    c12: float
+    c13: float
+
+    def as_dict(self) -> dict:
+        return {
+            "alpha1": self.alpha1,
+            "alpha2": self.alpha2,
+            "alpha3": self.alpha3,
+            "alpha4": self.alpha4,
+            "A": self.A,
+            "gamma": self.gamma,
+            **{f"c{i}": getattr(self, f"c{i}") for i in range(1, 14)},
+        }
+
+
+def solve_coefficients(hp: HopfParams) -> HopfCoefficients:
+    """Solve the constraint system for the symmetric split a_i = alpha/2."""
+    params = hp.base_params()
+    require_nonzero_alpha(params)
+    lp = math.log(hp.p)
+    lq = math.log(hp.q)
+
+    A = math.exp(0.5 * hp.alpha * hp.l * (lq - lp))
+    den = math.exp(-hp.beta1 * lp) - A * math.exp(-hp.beta2 * lp)
+    num = math.exp(hp.beta1 * lq) - A * math.exp(hp.beta2 * lq)
+    scale = max(1.0, math.exp(-hp.beta1 * lp), A * math.exp(-hp.beta2 * lp))
+    if abs(den) < 1e-14 * scale:
+        raise ADegenerateError(f"p**(-beta1) - A*p**(-beta2) = {den:.3g} vanishes")
+    R = num / den
+    if R <= 0.0:
+        raise GammaUndefinedError(
+            f"(p*q)**(alpha*gamma) = {R:.6g} <= 0 has no real solution "
+            f"(p={hp.p}, q={hp.q}, alpha={hp.alpha}, l={hp.l}, "
+            f"beta1={hp.beta1}, beta2={hp.beta2})"
+        )
+    gamma = math.log(R) / (hp.alpha * (lp + lq))
+
+    half = 0.5 * hp.alpha
+    return HopfCoefficients(
+        alpha1=half,
+        alpha2=half,
+        alpha3=half,
+        alpha4=half,
+        A=A,
+        gamma=gamma,
+        c1=math.exp(-half * gamma * lp),
+        c2=math.exp(half * gamma * lq),
+        c3=math.exp(-half * gamma * lp),
+        c4=math.exp(half * gamma * lq),
+        c5=1.0,
+        c6=1.0,
+        c7=0.0,
+        c8=0.0,
+        c9=-gamma,
+        c10=-1.0,
+        c11=-1.0,
+        c12=-1.0,
+        c13=0.0,
+    )
+
+
+def _rel(a: float, b: float) -> float:
+    return abs(a - b) / max(1.0, abs(a), abs(b))
+
+
+def check_constraints(hc: HopfCoefficients, hp: HopfParams, tol: float = 1e-12) -> CheckReport:
+    """Residuals of every scalar equality the coefficient system satisfies."""
+    p, q, alpha, l = hp.p, hp.q, hp.alpha, hp.l
+    g = hc.gamma
+    pairs = [
+        ("c1 = p^-a1*gamma", hc.c1, p ** (-hc.alpha1 * g)),
+        ("c2 = q^a2*gamma", hc.c2, q ** (hc.alpha2 * g)),
+        ("c3 = p^-a3*gamma", hc.c3, p ** (-hc.alpha3 * g)),
+        ("c4 = q^a4*gamma", hc.c4, q ** (hc.alpha4 * g)),
+        ("c5 = 1", hc.c5, 1.0),
+        ("c6 = 1", hc.c6, 1.0),
+        ("c7 = 0", hc.c7, 0.0),
+        ("c8 = 0", hc.c8, 0.0),
+        ("c9 = -gamma", hc.c9, -g),
+        ("c10 = -1", hc.c10, -1.0),
+        ("c11 = -1", hc.c11, -1.0),
+        ("c12 = -1", hc.c12, -1.0),
+        ("c13 = 0", hc.c13, 0.0),
+        ("alpha1 = alpha3", hc.alpha1, hc.alpha3),
+        ("alpha2 = alpha4", hc.alpha2, hc.alpha4),
+        ("A = p^-a3l q^a2l", hc.A, p ** (-hc.alpha3 * l) * q ** (hc.alpha2 * l)),
+        ("A = p^-a1l q^a4l", hc.A, p ** (-hc.alpha1 * l) * q ** (hc.alpha4 * l)),
+        ("A = (q/p)^(alpha l/2)", hc.A, (q / p) ** (0.5 * alpha * l)),
+        ("c1 c3 = p^-alpha gamma", hc.c1 * hc.c3, p ** (-alpha * g)),
+        ("c2 c4 = q^alpha gamma", hc.c2 * hc.c4, q ** (alpha * g)),
+        (
+            "gamma equation cross-multiplied",
+            (p * q) ** (alpha * g) * (p ** (-hp.beta1) - hc.A * p ** (-hp.beta2)),
+            q ** hp.beta1 - hc.A * q ** hp.beta2,
+        ),
+    ]
+    entries = tuple(CheckEntry(label, _rel(a, b), tol) for label, a, b in pairs)
+    metadata = {
+        "hopf_params": hp.as_dict(),
+        "A": hc.A,
+        "gamma": g,
+        # reported for reference: the printed variant of the second product
+        "c1*c4": hc.c1 * hc.c4,
+        "q^alpha*gamma": q ** (alpha * g),
+    }
+    return CheckReport("hopf-constraints", entries, metadata)

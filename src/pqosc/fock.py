@@ -33,28 +33,18 @@ from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
-from .params import DeformationParams
+from .params import (
+    DeformationParams,
+    DimensionMismatchError,
+    FockError,
+    NegativeWeightError,
+    NotLowestWeightError,
+)
 from .report import CheckEntry, CheckReport
 from .structure import bracket, checked_exp
 
 _LOWEST_WEIGHT_TOL = 1e-12
 _NEGATIVE_WEIGHT_TOL = 1e-14
-
-
-class FockError(ValueError):
-    """The requested truncated representation does not exist."""
-
-
-class NegativeWeightError(FockError):
-    """Some ladder weight is negative; square roots would be complex."""
-
-
-class NotLowestWeightError(FockError):
-    """w_0 != 0, so the level below the cutoff is not annihilated."""
-
-
-class DimensionMismatchError(ValueError):
-    """Operand shapes do not match the representation dimension."""
 
 
 def shift_levels(w: np.ndarray, offsets: Sequence[int]) -> np.ndarray:
@@ -122,9 +112,8 @@ class FockRep:
 
     ops maps "1", "a", "a+", "N", "P", "Q" to their shifts: a has
     offset -1 and weights sqrt(w_k), a+ offset +1 and weights
-    sqrt(w_{k+1}); N, P, Q and 1 are diagonal (offset 0).  The dense
-    matrices a, a_dag, n_op, p_op, q_op are read-only copies built on
-    request; no check reads them.
+    sqrt(w_{k+1}); N, P, Q and 1 are diagonal (offset 0).  A dense
+    matrix, for display and tests, is generator(symbol).dense().
     """
 
     params: DeformationParams
@@ -143,17 +132,6 @@ class FockRep:
             return self.ops[symbol]
         except KeyError:
             raise KeyError(f"unknown generator symbol {symbol!r}") from None
-
-    def _dense(self, symbol: str) -> np.ndarray:
-        m = self.ops[symbol].dense()
-        m.flags.writeable = False
-        return m
-
-    a = property(lambda self: self._dense("a"), doc="dense lowering: a[k-1, k] = sqrt(w_k)")
-    a_dag = property(lambda self: self._dense("a+"), doc="dense raising, transpose of a")
-    n_op = property(lambda self: self._dense("N"), doc="dense diag(nu0 + l*k)")
-    p_op = property(lambda self: self._dense("P"), doc="dense grading diag(p**(-x_k))")
-    q_op = property(lambda self: self._dense("Q"), doc="dense grading diag(q**(x_k))")
 
 
 def build(

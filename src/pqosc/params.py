@@ -33,6 +33,27 @@ class ZeroAlphaError(ParameterError):
     """alpha = 0; fatal only where the exponent shift l/alpha is needed."""
 
 
+# The truncated-representation errors live here, beside ParameterError, so
+# that code catching them (the CLI) need not import fock and numpy; fock
+# re-exports them.
+
+
+class FockError(ValueError):
+    """The requested truncated representation does not exist."""
+
+
+class NegativeWeightError(FockError):
+    """Some ladder weight is negative; square roots would be complex."""
+
+
+class NotLowestWeightError(FockError):
+    """w_0 != 0, so the level below the cutoff is not annihilated."""
+
+
+class DimensionMismatchError(ValueError):
+    """Operand shapes do not match the representation dimension."""
+
+
 @dataclass(frozen=True)
 class DeformationParams:
     """Immutable (p, q, alpha, beta, l) tuple.

@@ -19,13 +19,16 @@ the independent cross-check through its diagonal Hamiltonian.
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .params import DeformationParams, dual
 from .report import CheckEntry, CheckReport
 from .structure import bracket
-from .fock import FockRep
+
+if TYPE_CHECKING:  # annotations only: the closed forms run without numpy
+    import numpy as np
+
+    from .fock import FockRep
 
 
 def lambda_n(n: float, params: DeformationParams) -> float:

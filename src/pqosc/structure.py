@@ -18,8 +18,6 @@ from __future__ import annotations
 
 import math
 
-import numpy as np
-
 from .params import DeformationParams, validate
 
 # |exponent| * |ln(base)| beyond which exp() would overflow a double.
@@ -33,12 +31,15 @@ class ExponentOverflowError(ArithmeticError):
 def checked_exp(t):
     """exp(t) for a float or an array of floats.
 
-    Raises ExponentOverflowError when some |t| exceeds EXP_LIMIT.
+    Raises ExponentOverflowError when some |t| exceeds EXP_LIMIT.  Only
+    the array case imports numpy, so scalar callers never load it.
     """
-    if isinstance(t, np.ndarray):
-        worst, exp = float(np.max(np.abs(t), initial=0.0)), np.exp
-    else:
+    if isinstance(t, (int, float)):
         worst, exp = abs(t), math.exp
+    else:
+        import numpy as np
+
+        worst, exp = float(np.max(np.abs(t), initial=0.0)), np.exp
     if worst > EXP_LIMIT:
         raise ExponentOverflowError(f"exponent magnitude {worst:.3g} exceeds {EXP_LIMIT:g}")
     return exp(t)

@@ -90,6 +90,28 @@ def test_calculus_check_passes(capsys):
     assert payload["metadata"]["exponents"] == [-3, -2, -1, 0, 1, 2, 3, 4, 5]
 
 
+@pytest.mark.parametrize("offset", ["inf", "-inf", "nan"])
+def test_hopf_solve_nonfinite_offset_exit_two(capsys, offset):
+    code, out, err = run_capture(
+        capsys, ["hopf-solve", "--p", "2", "--q", "3", f"--beta1={offset}", "--beta2", "1"]
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ParameterError: offsets must be finite")
+
+
+@pytest.mark.parametrize("command", [
+    "numbers", "spectrum", "rep-check", "calculus-check", "hopf-solve", "hopf-check", "sweep",
+])
+def test_negative_n_max_exit_two(capsys, command):
+    code, out, err = run_capture(capsys, [command, "--p", "2", "--q", "3", "--n-max", "-1"])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ConfigError: n_max must be nonnegative")
+    with pytest.raises(ConfigError):
+        parse_config("p = 2\nq = 3\nn_max = -1")
+
+
 def test_hopf_solve_constraints_pass(capsys):
     code, out, _ = run_capture(
         capsys,

@@ -90,10 +90,8 @@ def test_relations_match_dense(mode, args):
 def test_dense_views_match_weights():
     rep = build(validate(2, 3, 1, 0, 1), 7)
     dense = dense_oracle.one_site(rep)
-    views = {"a": rep.a, "a+": rep.a_dag, "N": rep.n_op, "P": rep.p_op, "Q": rep.q_op}
-    for symbol, view in views.items():
-        assert np.array_equal(view, dense[symbol])
-        assert not view.flags.writeable
+    for symbol in ("a", "a+", "N", "P", "Q"):
+        assert np.array_equal(rep.generator(symbol).dense(), dense[symbol])
 
 
 def test_worst_location_points_at_dense_entry():

@@ -98,9 +98,10 @@ def test_coproduct_matrix_identity_and_number(rep8, solved):
     d = rep8.dim
     assert np.array_equal(coproduct_matrix(rep8, hc, "1"), np.eye(d * d))
     dn = coproduct_matrix(rep8, hc, "N")
+    n_op = rep8.generator("N").dense()
     want = (
-        np.kron(rep8.n_op, np.eye(d))
-        + np.kron(np.eye(d), rep8.n_op)
+        np.kron(n_op, np.eye(d))
+        + np.kron(np.eye(d), n_op)
         + hc.gamma * np.eye(d * d)
     )
     assert np.max(np.abs(dn - want)) <= 1e-13
@@ -112,7 +113,8 @@ def test_coproduct_matrix_raising_by_hand(solved):
     got = coproduct_matrix(rep, hc, "a+")
     g1 = np.diag([1.0, 2.0 ** -0.5])
     h2 = np.diag([1.0, 3.0 ** 0.5])
-    want = hc.c1 * np.kron(rep.a_dag, g1) + hc.c2 * np.kron(h2, rep.a_dag)
+    a_dag = rep.generator("a+").dense()
+    want = hc.c1 * np.kron(a_dag, g1) + hc.c2 * np.kron(h2, a_dag)
     assert np.max(np.abs(got - want)) <= 1e-14
     with pytest.raises(ValueError):
         coproduct_matrix(rep, hc, "bogus")

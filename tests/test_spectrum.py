@@ -72,7 +72,8 @@ def test_hamiltonian_eigs_equal_weight_sums(base_params):
 
 def test_hamiltonian_eigs_match_matrix_diagonal(base_params):
     rep = build(base_params, dim=12)
-    h = rep.a_dag @ rep.a + rep.a @ rep.a_dag
+    a, a_dag = rep.generator("a").dense(), rep.generator("a+").dense()
+    h = a_dag @ a + a @ a_dag
     diag = np.diag(h)[:11]
     scale = float(np.max(np.abs(rep.weights)))
     assert np.max(np.abs(diag - hamiltonian_eigs(rep))) <= 1e-13 * scale
