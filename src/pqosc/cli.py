@@ -104,13 +104,8 @@ def read_pairs(source: str, allow_lists: bool = False) -> dict:
     return out
 
 
-def _check_n_max(n_max: int) -> None:
-    if n_max < 0:
-        raise ConfigError(f"n_max must be nonnegative, got {n_max}")
-
-
-def build_config(values: dict) -> Config:
-    """Fill defaults, validate, and produce a Config."""
+def _merged_options(values: dict) -> dict:
+    """values over the defaults; raises ConfigError for a missing p or q or a bad option."""
     merged = dict(_DEFAULTS)
     merged.update({k: v for k, v in values.items() if v is not None})
     for key in ("p", "q"):
@@ -122,7 +117,14 @@ def build_config(values: dict) -> Config:
         raise ConfigError(f"format must be 'json' or 'csv', got {merged['format']!r}")
     if merged["tol"] <= 0:
         raise ConfigError(f"tol must be positive, got {merged['tol']}")
-    _check_n_max(merged["n_max"])
+    if merged["n_max"] < 0:
+        raise ConfigError(f"n_max must be nonnegative, got {merged['n_max']}")
+    return merged
+
+
+def build_config(values: dict) -> Config:
+    """Fill defaults, validate, and produce a Config."""
+    merged = _merged_options(values)
     params = validate(merged["p"], merged["q"], merged["alpha"], merged["beta"], merged["l"])
     return Config(
         params=params,
@@ -377,12 +379,7 @@ def run(argv: list[str]) -> int:
 
         payload = {"command": args.command}
         if args.command == "sweep":
-            for key in ("p", "q"):
-                if key not in values:
-                    raise ConfigError(f"missing required parameter {key!r}")
-            merged = dict(_DEFAULTS)
-            merged.update(values)
-            _check_n_max(merged["n_max"])
+            merged = _merged_options(values)
             fmt = merged["format"]
             payload["grid"] = {
                 k: list(v) for k, v in merged.items() if isinstance(v, tuple)

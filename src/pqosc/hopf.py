@@ -45,8 +45,6 @@ from .fock import FockRep, Shift, dense_matrix, shift_levels
 # Tensor-product evaluation
 # ---------------------------------------------------------------------------
 
-_EXP_SYMBOLS = ("G1", "H2", "G3", "H4")
-
 # An operator on n sites is a sum of tensor products of weighted shifts,
 # stored as {offset tuple: weights}, the weights an n-dimensional array
 # indexed by the input levels (k_1, ..., k_n).  Entry (k + offset, k) of

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 # Guard width around the singular surface (p*q)**l = 1.
 EPS_DEGENERATE = 1e-12
@@ -69,6 +70,26 @@ class DeformationParams:
     alpha: float
     beta: float
     l: float
+
+    @cached_property
+    def bracket_constants(self) -> tuple[float, float, float, float, float]:
+        """The x-independent parts of structure.bracket, computed once.
+
+        (ln q - ln p, L/2, sinh(l L/2), |l|, max(|ln p|, |ln q|)) with
+        L = ln p + ln q.  cached_property stores the tuple in the instance
+        __dict__, outside the dataclass fields, so ==, hash, repr and
+        as_dict see only (p, q, alpha, beta, l).
+        """
+        lp = math.log(self.p)
+        lq = math.log(self.q)
+        half_ln_pq = 0.5 * (lp + lq)
+        alp, alq = abs(lp), abs(lq)
+        try:
+            den = math.sinh(self.l * half_ln_pq)
+        except OverflowError:
+            # Never read: |l L/2| > 710 exceeds bracket's exponent guard for every x.
+            den = math.copysign(math.inf, self.l * half_ln_pq)
+        return (lq - lp, half_ln_pq, den, abs(self.l), alp if alp > alq else alq)
 
     def as_dict(self) -> dict:
         return {

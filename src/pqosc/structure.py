@@ -56,27 +56,23 @@ def bracket(x: float, params: DeformationParams) -> float:
     ExponentOverflowError when one of p**(-x), q**x, p**(-l), q**l has an
     exponent beyond EXP_LIMIT.  Where the exponential factor or a partial
     product leaves the double range although the bracket need not, the
-    same formula is evaluated in logarithms.
+    same formula is evaluated in logarithms.  The parts that do not depend
+    on x come from params.bracket_constants, computed once per instance.
     """
-    lp = math.log(params.p)
-    lq = math.log(params.q)
-    l = params.l
-    ax, al = abs(x), abs(l)
-    alp, alq = abs(lp), abs(lq)
-    worst = (ax if ax > al else al) * (alp if alp > alq else alq)
+    ln_q_over_p, half_ln_pq, den, al, worst_ln = params.bracket_constants
+    ax = abs(x)
+    worst = (ax if ax > al else al) * worst_ln
     if worst > EXP_LIMIT:
         raise ExponentOverflowError(f"exponent magnitude {worst:.3g} exceeds {EXP_LIMIT:g}")
-    half_ln_pq = 0.5 * (lp + lq)
-    h = 0.5 * (x - l) * (lq - lp)
+    h = 0.5 * (x - params.l) * ln_q_over_p
     if -EXP_LIMIT <= h <= EXP_LIMIT:
-        value = math.exp(h) * math.sinh(x * half_ln_pq) / math.sinh(l * half_ln_pq)
+        value = math.exp(h) * math.sinh(x * half_ln_pq) / den
         if value - value == 0.0:  # finite: no partial product overflowed
             return value
     # The guard keeps both sinh arguments within EXP_LIMIT.
     num = math.sinh(x * half_ln_pq)
     if num == 0.0:
         return 0.0
-    den = math.sinh(l * half_ln_pq)
     try:
         magnitude = math.exp(h + math.log(abs(num)) - math.log(abs(den)))
     except OverflowError:

@@ -1,3 +1,5 @@
+from itertools import product
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -12,6 +14,8 @@ from pqosc import (
     mult_op,
     validate,
 )
+from pqosc import calculus
+from pqosc.calculus import dilation_map, lower_map, number_map, raise_map
 from pqosc.fock import build
 
 
@@ -131,3 +135,73 @@ def test_operators_are_linear(exps, coeffs, scalar):
         diff = lhs - rhs
         scale = 1.0 + max(lhs.max_abs_coeff(), rhs.max_abs_coeff())
         assert diff.max_abs_coeff() <= 1e-13 * scale
+
+
+@given(
+    exps=st.lists(st.floats(-4, 4), min_size=1, max_size=6, unique=True),
+    coeffs=st.lists(st.floats(-10, 10), min_size=6, max_size=6),
+)
+def test_series_operators_apply_their_term_maps(exps, coeffs):
+    params = validate(2.0, 3.0, 2.0, 0.5, 1.0)
+    s = ExpSeries.from_terms(zip(exps, coeffs))
+    for op, term_map in (
+        (lambda s: d_op(s, params), lower_map(params)),
+        (lambda s: mult_op(s, params), raise_map(params)),
+        (lambda s: euler_op(s, params), number_map(params)),
+        (lambda s: dilation_op(s, 1.7, 0.9), dilation_map(1.7, 0.9)),
+    ):
+        assert op(s) == ExpSeries.from_terms(term_map(e, c) for e, c in s.terms)
+
+
+def series_residuals(params, exponents):
+    """The four realization residuals composed from the series operators."""
+    p, q, alpha, beta, l = params.p, params.q, params.alpha, params.beta, params.l
+    ql, pl = q ** l, p ** (-l)
+    worst = [0.0] * 4
+    for e in exponents:
+        m = ExpSeries.monomial(float(e))
+        up, down = mult_op(m, params), d_op(m, params)
+        aa, a_a = d_op(up, params), mult_op(down, params)
+        n_m = euler_op(m, params)
+        lhs1 = euler_op(up, params) - mult_op(n_m, params)
+        scale1 = 1.0 + max(lhs1.max_abs_coeff(), abs(l) * up.max_abs_coeff())
+        lhs2 = euler_op(down, params) - d_op(n_m, params)
+        scale2 = 1.0 + max(lhs2.max_abs_coeff(), abs(l) * down.max_abs_coeff())
+        rhs_p = dilation_op(m, p ** (-alpha), p ** (-beta))
+        scale3 = 1.0 + max(aa.max_abs_coeff(), ql * a_a.max_abs_coeff(), rhs_p.max_abs_coeff())
+        rhs_q = dilation_op(m, q ** alpha, q ** beta)
+        scale4 = 1.0 + max(aa.max_abs_coeff(), pl * a_a.max_abs_coeff(), rhs_q.max_abs_coeff())
+        residuals = (
+            (lhs1 - l * up).max_abs_coeff() / scale1,
+            (lhs2 + l * down).max_abs_coeff() / scale2,
+            (aa - ql * a_a - rhs_p).max_abs_coeff() / scale3,
+            (aa - pl * a_a - rhs_q).max_abs_coeff() / scale4,
+        )
+        worst = [max(w, r) for w, r in zip(worst, residuals)]
+    return worst
+
+
+def test_check_realization_matches_series_composition():
+    # check_realization applies the term maps to monomials; composing the
+    # series operators gives the same residuals bit for bit.
+    exponents = [-3.0, -1.5, 0.0, 0.25, 1.0, 2.0, 3.0, 5.0]
+    for p, q, alpha, beta, l in product(
+        (0.5, 1.5, 2.0), (0.3, 0.9, 3.0), (0.5, 1.0, 2.0), (0.0, 0.5), (0.5, 1.0, 2.0)
+    ):
+        if p * q == 1.0:
+            continue
+        params = validate(p, q, alpha, beta, l)
+        report = check_realization(params, exponents)
+        assert [e.residual for e in report.entries] == series_residuals(params, exponents)
+
+
+def test_check_realization_catches_a_twisted_lowering(monkeypatch):
+    params = validate(2, 3, 2, 0.5, 1)
+    exponents = [-2.0, -1.0, 0.0, 1.0, 2.0, 3.0]
+    assert check_realization(params, exponents, tol=1e-12).passed
+    exact = calculus.f_general
+    monkeypatch.setattr(calculus, "f_general", lambda n, prm: exact(n, prm) * (1.0 + 1e-6))
+    report = check_realization(params, exponents, tol=1e-12)
+    # scaling a by a constant leaves both commutators with N intact
+    failed = {entry.label for entry in report.entries if not entry.passed}
+    assert failed == {"aa+ - q^l a+a = P", "aa+ - p^-l a+a = Q"}

@@ -247,6 +247,21 @@ def test_sweep_csv(tmp_path, capsys):
     assert len(rows) == 1 + 2 * 4  # two points, four relation entries each
 
 
+@pytest.mark.parametrize("config, flags, message", [
+    ("p = 2\nq = 3\n", ["--tol", "-1"], "tol must be positive"),
+    ("p = 2, 3\nq = 3\nmode = bogus\n", [], "mode must be 'grading' or 'literal'"),
+    ("p = 2, 3\nq = 3\nformat = xml\n", [], "format must be 'json' or 'csv'"),
+], ids=["tol", "mode", "format"])
+def test_sweep_invalid_option_exit_two(tmp_path, capsys, config, flags, message):
+    # An invalid option is rejected once, before the grid, not per point.
+    cfg = tmp_path / "grid.cfg"
+    cfg.write_text(config)
+    code, out, err = run_capture(capsys, ["sweep", "--config", str(cfg), *flags])
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: ConfigError: {message}")
+
+
 def test_json_report_round_trip(capsys):
     code, out, _ = run_capture(
         capsys,

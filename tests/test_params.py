@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import pytest
@@ -5,6 +6,7 @@ from hypothesis import given, strategies as st
 
 from pqosc import (
     DegenerateDenominatorError,
+    bracket,
     NonPositiveBaseError,
     ZeroAlphaError,
     dual,
@@ -75,3 +77,31 @@ def test_validity_is_dual_invariant(p, q, l):
         return
     d = dual(params)
     validate(d.p, d.q, d.alpha, d.beta, d.l)
+
+
+XS = (-2.5, 0.0, 1.0, 3.7, 12.0)
+
+
+def test_bracket_constants_belong_to_each_instance():
+    params = validate(2, 3, 1.5, 0.5, 1.25)
+    before = [bracket(x, params) for x in XS]  # fills params' cache
+    replaced = dataclasses.replace(params, p=1.5)
+    fresh = validate(1.5, 3, 1.5, 0.5, 1.25)
+    assert replaced.bracket_constants == fresh.bracket_constants
+    assert [bracket(x, replaced) for x in XS] == [bracket(x, fresh) for x in XS]
+    assert [bracket(x, replaced) for x in XS] != before
+    mirrored = dual(params)
+    assert mirrored.bracket_constants != params.bracket_constants
+    assert mirrored.bracket_constants == validate(1 / 3, 1 / 2, 1.5, 0.5, 1.25).bracket_constants
+    # the bracket is dual-invariant, whichever constants evaluate it
+    assert [bracket(x, mirrored) for x in XS] == pytest.approx(before, rel=1e-14)
+    assert [bracket(x, params) for x in XS] == before
+
+
+def test_bracket_constants_leave_the_fields_alone():
+    params = validate(2, 3, 1.5, 0.5, 1.25)
+    twin = validate(2, 3, 1.5, 0.5, 1.25)
+    seen = (params == twin, hash(params), repr(params), params.as_dict())
+    bracket(1.0, params)
+    assert "bracket_constants" in vars(params) and "bracket_constants" not in vars(twin)
+    assert (params == twin, hash(params), repr(params), params.as_dict()) == seen

@@ -127,7 +127,8 @@ def test_overflow_reported(base_params):
 
 
 @pytest.mark.parametrize("p, q", [(2.0, 3.0), (0.5, 0.3), (1.0, 3.0), (3.0, 0.5)])
-@pytest.mark.parametrize("l", [1.0, -2.0, 300.0])
+# At l = 2000, sinh(l L/2) itself overflows for three of the base pairs.
+@pytest.mark.parametrize("l", [1.0, -2.0, 300.0, 2000.0])
 def test_overflow_guard_is_the_four_exponents(p, q, l):
     """bracket raises exactly when one of p**-x, q**x, p**-l, q**l has |exponent| > 700."""
     lp, lq = math.log(p), math.log(q)
