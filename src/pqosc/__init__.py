@@ -10,134 +10,83 @@ checked numerically to floating-point tolerance and reported as a
 named-residual CheckReport.
 """
 
-from .params import (
-    DeformationParams,
-    DegenerateDenominatorError,
-    NegativeWeightError,
-    NonPositiveBaseError,
-    NotLowestWeightError,
-    ParameterError,
-    ZeroAlphaError,
-    dual,
-    validate,
-)
-from .structure import (
-    ExponentOverflowError,
-    arik_coon,
-    arik_coon_generalized,
-    biedenharn_macfarlane,
-    bm_symmetric_generalized,
-    bracket,
-    checked_exp,
-    f_general,
-    pq_sum_oracle,
-    standard_qm,
-    two_parameter,
-    two_parameter_symmetric_generalized,
-)
-from .report import CheckEntry, CheckReport
-from .calculus import ExpSeries, check_realization, d_op, dilation_op, euler_op, mult_op
-from .spectrum import (
-    SpectrumTable,
-    check_pq_inversion,
-    hamiltonian_eigs,
-    lambda_forms,
-    lambda_n,
-    spectrum_table,
-)
-from .coefficients import (
-    ADegenerateError,
-    Beta1Beta2MismatchError,
-    GammaUndefinedError,
-    HopfCoefficients,
-    HopfParams,
-    check_constraints,
-    solve_coefficients,
-    validate_hopf,
-)
-
-# Names whose modules import numpy load on first access (PEP 562), so that
-# `import pqosc` and the scalar CLI commands never import it.
-_LAZY = {
-    "FockRep": "fock",
-    "apply_word": "fock",
-    "check_relations": "fock",
-    "coproduct_matrix": "hopf",
-    "check_coassociativity": "hopf",
-    "check_counit": "hopf",
-    "check_antipode": "hopf",
-    "check_homomorphism": "hopf",
+# Every public name loads its module on first access (PEP 562) and is then
+# stored here, so `import pqosc` imports no submodule, a command loads only
+# the modules it runs, and only fock and hopf bring in numpy.
+_EXPORTS = {
+    "params": (
+        "DeformationParams",
+        "ParameterError",
+        "NonPositiveBaseError",
+        "DegenerateDenominatorError",
+        "ZeroAlphaError",
+        "NegativeWeightError",
+        "NotLowestWeightError",
+        "GammaUndefinedError",
+        "ADegenerateError",
+        "Beta1Beta2MismatchError",
+        "validate",
+        "dual",
+    ),
+    "structure": (
+        "bracket",
+        "f_general",
+        "checked_exp",
+        "pq_sum_oracle",
+        "standard_qm",
+        "arik_coon",
+        "arik_coon_generalized",
+        "biedenharn_macfarlane",
+        "bm_symmetric_generalized",
+        "two_parameter",
+        "two_parameter_symmetric_generalized",
+        "ExponentOverflowError",
+    ),
+    "report": ("CheckEntry", "CheckReport"),
+    "fock": ("FockRep", "check_relations", "apply_word"),
+    "calculus": ("ExpSeries", "d_op", "mult_op", "euler_op", "dilation_op", "check_realization"),
+    "spectrum": (
+        "SpectrumTable",
+        "spectrum_table",
+        "lambda_n",
+        "lambda_forms",
+        "hamiltonian_eigs",
+        "check_pq_inversion",
+    ),
+    "coefficients": (
+        "HopfParams",
+        "HopfCoefficients",
+        "validate_hopf",
+        "solve_coefficients",
+        "check_constraints",
+    ),
+    "hopf": (
+        "coproduct_matrix",
+        "check_coassociativity",
+        "check_counit",
+        "check_antipode",
+        "check_homomorphism",
+    ),
 }
-_LAZY_MODULES = ("fock", "hopf")
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
 
 
 def __getattr__(name: str):
-    from importlib import import_module
-
-    if name in _LAZY_MODULES:
-        return import_module(f"{__name__}.{name}")
-    if name in _LAZY:
-        return getattr(import_module(f"{__name__}.{_LAZY[name]}"), name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    module = name if name in _EXPORTS else _HOME.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    # __import__, not importlib.import_module: -X importtime logs only the
+    # former, and `from . import spectrum` in cli comes through here.
+    __import__(f"{__name__}.{module}")
+    if name != module:
+        globals()[name] = getattr(globals()[module], name)
+    return globals()[name]
 
 
 def __dir__() -> list[str]:
-    return sorted({*globals(), *_LAZY, *_LAZY_MODULES})
+    return sorted({*globals(), *_HOME, *_EXPORTS})
 
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "DeformationParams",
-    "ParameterError",
-    "NonPositiveBaseError",
-    "DegenerateDenominatorError",
-    "ZeroAlphaError",
-    "validate",
-    "dual",
-    "bracket",
-    "f_general",
-    "checked_exp",
-    "pq_sum_oracle",
-    "standard_qm",
-    "arik_coon",
-    "arik_coon_generalized",
-    "biedenharn_macfarlane",
-    "bm_symmetric_generalized",
-    "two_parameter",
-    "two_parameter_symmetric_generalized",
-    "ExponentOverflowError",
-    "CheckEntry",
-    "CheckReport",
-    "FockRep",
-    "NegativeWeightError",
-    "NotLowestWeightError",
-    "check_relations",
-    "apply_word",
-    "ExpSeries",
-    "d_op",
-    "mult_op",
-    "euler_op",
-    "dilation_op",
-    "check_realization",
-    "SpectrumTable",
-    "spectrum_table",
-    "lambda_n",
-    "lambda_forms",
-    "hamiltonian_eigs",
-    "check_pq_inversion",
-    "HopfParams",
-    "HopfCoefficients",
-    "validate_hopf",
-    "solve_coefficients",
-    "check_constraints",
-    "coproduct_matrix",
-    "check_coassociativity",
-    "check_counit",
-    "check_antipode",
-    "check_homomorphism",
-    "GammaUndefinedError",
-    "ADegenerateError",
-    "Beta1Beta2MismatchError",
-    "__version__",
-]
+__all__ = [*_HOME, "__version__"]

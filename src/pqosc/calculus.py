@@ -23,7 +23,6 @@ to each monomial z**e.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
 from .params import DeformationParams, require_nonzero_alpha
@@ -37,11 +36,35 @@ COEFF_PRUNE = 1e-300
 MAX_TERMS = 10000
 
 
-@dataclass(frozen=True)
 class ExpSeries:
-    """Finite generalized polynomial: (exponent, coefficient) pairs."""
+    """Finite generalized polynomial: (exponent, coefficient) pairs.
 
-    terms: tuple[tuple[float, float], ...]
+    Immutable, compared and hashed by its terms.  A plain class rather
+    than a tuple, so that `2 * series` scales and `series * 2` and
+    `len(series)` stay errors.
+    """
+
+    __slots__ = ("terms",)
+
+    def __init__(self, terms: tuple[tuple[float, float], ...]):
+        object.__setattr__(self, "terms", terms)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.terms == other.terms
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.terms,))
+
+    def __repr__(self) -> str:
+        return f"ExpSeries(terms={self.terms!r})"
 
     @staticmethod
     def from_terms(pairs: Iterable[tuple[float, float]]) -> "ExpSeries":
@@ -156,8 +179,11 @@ def check_realization(
     exponents merge and images on different exponents stay apart.
     Residuals are scaled by the largest coefficient participating in the
     identity, so the reported numbers are relative to the natural size
-    of the terms being cancelled.
+    of the terms being cancelled.  Raises ValueError when `exponents` is
+    empty, where no relation would be compared.
     """
+    if len(exponents) == 0:
+        raise ValueError("exponents must be nonempty")
     require_nonzero_alpha(params)
     p, q, alpha, beta, l = params.p, params.q, params.alpha, params.beta, params.l
     ql = q ** l

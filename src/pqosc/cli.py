@@ -9,9 +9,22 @@ Exit codes: 0 all checks pass, 1 at least one check failed (reports are
 still emitted), 2 invalid parameters or config, 3 internal numeric
 failure (overflow, undefined gamma); the message names the error.
 
-numbers, spectrum, calculus-check and hopf-solve are scalar and import
-no numpy: fock and hopf, which need it, are imported only by the
-handlers of rep-check, hopf-check and sweep.
+Each process loads only the modules its command runs: every pqosc
+module past params, structure and report is imported inside the handler
+that uses it, and datetime only when a timestamp is written.
+
+    numbers          cli, params, structure, report
+    spectrum         + spectrum
+    calculus-check   + calculus
+    hopf-solve       + coefficients
+    rep-check, sweep + fock (numpy)
+    hopf-check       + coefficients, fock, hopf (numpy)
+
+The first four commands import no numpy.  numbers, spectrum and
+calculus-check import no dataclasses either: every type they build (Config
+here, DeformationParams, the reports, SpectrumTable, ExpSeries) is a
+namedtuple or a plain class.  hopf-solve builds the HopfParams and
+HopfCoefficients dataclasses.
 """
 
 from __future__ import annotations
@@ -21,16 +34,15 @@ import csv
 import io
 import json
 import sys
-from dataclasses import dataclass
-from datetime import datetime, timezone
+from collections import namedtuple
 from itertools import product
-from typing import Optional
 
-from . import coefficients, spectrum as spectrum_mod
 from .params import (
-    DeformationParams,
+    ADegenerateError,
+    Beta1Beta2MismatchError,
     DimensionMismatchError,
     FockError,
+    GammaUndefinedError,
     ParameterError,
     validate,
 )
@@ -61,16 +73,11 @@ class ConfigError(ValueError):
     """Unreadable or inconsistent configuration."""
 
 
-@dataclass
-class Config:
-    params: DeformationParams
-    beta1: Optional[float]
-    beta2: Optional[float]
-    dim: int
-    n_max: int
-    tol: float
-    mode: str
-    fmt: str
+class Config(namedtuple("Config", "params beta1 beta2 dim n_max tol mode fmt")):
+    """One validated invocation: DeformationParams, the optional Hopf
+    offsets beta1 and beta2 (None when absent), and the options."""
+
+    __slots__ = ()
 
 
 def _parse_value(key: str, raw: str, line_no: int, allow_lists: bool):
@@ -153,7 +160,7 @@ def _results(*reports: CheckReport) -> list[dict]:
     return [row for report in reports for row in report.to_dict()["results"]]
 
 
-def _emit(payload: dict, cfg_fmt: str, out_path: Optional[str], csv_rows) -> None:
+def _emit(payload: dict, cfg_fmt: str, out_path: str | None, csv_rows) -> None:
     if cfg_fmt == "json":
         text = json.dumps(payload, indent=2) + "\n"
     else:
@@ -195,8 +202,10 @@ def _cmd_numbers(cfg: Config, payload: dict):
 
 
 def _cmd_spectrum(cfg: Config, payload: dict):
-    table = spectrum_mod.spectrum_table(cfg.params, cfg.n_max)
-    duality = spectrum_mod.check_pq_inversion(cfg.params, cfg.n_max, cfg.tol)
+    from . import spectrum
+
+    table = spectrum.spectrum_table(cfg.params, cfg.n_max)
+    duality = spectrum.check_pq_inversion(cfg.params, cfg.n_max, cfg.tol)
     forms = CheckReport(
         "spectrum-forms", (CheckEntry("three-form agreement", table.max_form_spread(), cfg.tol),)
     )
@@ -238,15 +247,20 @@ def _cmd_calculus_check(cfg: Config, payload: dict):
     return payload, _results_csv(payload), _exit_from_results(payload)
 
 
-def _require_hopf(cfg: Config) -> coefficients.HopfParams:
+def _require_hopf(cfg: Config):
+    """The HopfParams of cfg; raises ConfigError when an offset is missing."""
+    from .coefficients import validate_hopf
+
     if cfg.beta1 is None or cfg.beta2 is None:
         raise ConfigError("hopf commands need beta1 and beta2")
-    return coefficients.validate_hopf(
+    return validate_hopf(
         cfg.params.p, cfg.params.q, cfg.params.alpha, cfg.params.l, cfg.beta1, cfg.beta2
     )
 
 
 def _cmd_hopf_solve(cfg: Config, payload: dict):
+    from . import coefficients
+
     hp = _require_hopf(cfg)
     hc = coefficients.solve_coefficients(hp)
     constraints = coefficients.check_constraints(hc, hp, min(cfg.tol, 1e-12))
@@ -260,7 +274,7 @@ def _cmd_hopf_solve(cfg: Config, payload: dict):
 def _cmd_hopf_check(cfg: Config, payload: dict):
     if not (4 <= cfg.dim <= 64):
         raise ConfigError(f"hopf-check needs 4 <= dim <= 64, got {cfg.dim}")
-    from . import fock, hopf
+    from . import coefficients, fock, hopf
 
     hp = _require_hopf(cfg)
     hc = coefficients.solve_coefficients(hp)
@@ -410,15 +424,17 @@ def run(argv: list[str]) -> int:
             payload, csv_rows, code = handler(cfg, payload)
 
         if not args.no_timestamp:
+            from datetime import datetime, timezone
+
             payload["timestamp"] = datetime.now(timezone.utc).isoformat()
         _emit(payload, fmt, args.out, csv_rows)
         return code
     except (ConfigError, ParameterError, FockError, DimensionMismatchError,
-            coefficients.Beta1Beta2MismatchError, OSError) as exc:
+            Beta1Beta2MismatchError, OSError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
-    except (ExponentOverflowError, coefficients.GammaUndefinedError,
-            coefficients.ADegenerateError, ArithmeticError) as exc:
+    except (ExponentOverflowError, GammaUndefinedError, ADegenerateError,
+            ArithmeticError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
 

@@ -32,20 +32,16 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .params import DeformationParams, ParameterError, require_nonzero_alpha, validate
+from .params import (  # the three errors are re-exported: they live in params
+    ADegenerateError,
+    Beta1Beta2MismatchError,
+    DeformationParams,
+    GammaUndefinedError,
+    ParameterError,
+    require_nonzero_alpha,
+    validate,
+)
 from .report import CheckEntry, CheckReport
-
-
-class GammaUndefinedError(ArithmeticError):
-    """The scalar equation for gamma has no real solution (R <= 0)."""
-
-
-class ADegenerateError(ArithmeticError):
-    """The denominator of the R ratio vanishes."""
-
-
-class Beta1Beta2MismatchError(ValueError):
-    """The relation check needs beta1 - beta2 = l."""
 
 
 @dataclass(frozen=True)

@@ -190,10 +190,13 @@ def check_relations(rep: FockRep, mode: str = "grading", tol: float = 1e-10) -> 
     recomputed as diag(p**-(alpha*nu_k + beta)), diag(q**(alpha*nu_k +
     beta)) from the eigenvalues nu_k of N.  Every operator involved is a
     weighted shift, so each residual is computed on one diagonal.
-    Failures are reported, not raised.
+    Failures are reported, not raised.  Raises ValueError for dim < 2,
+    which has no interior level to compare.
     """
     if mode not in ("grading", "literal"):
         raise ValueError(f"mode must be 'grading' or 'literal', got {mode!r}")
+    if rep.dim < 2:
+        raise ValueError(f"relations need dim >= 2 (an interior level), got {rep.dim}")
     params = rep.params
     if mode == "grading":
         p_gen, q_gen = rep.ops["P"].weights, rep.ops["Q"].weights

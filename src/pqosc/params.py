@@ -11,7 +11,7 @@ bases is (p*q)**l != 1, enforced here through the equivalent condition
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import cached_property
 
 # Guard width around the singular surface (p*q)**l = 1.
@@ -55,21 +55,34 @@ class DimensionMismatchError(ValueError):
     """Operand shapes do not match the representation dimension."""
 
 
-@dataclass(frozen=True)
-class DeformationParams:
+# The coefficient-solve errors live here too, so that the CLI catches them
+# without importing coefficients; coefficients and hopf re-export them.
+
+
+class GammaUndefinedError(ArithmeticError):
+    """The scalar equation for gamma has no real solution (R <= 0)."""
+
+
+class ADegenerateError(ArithmeticError):
+    """The denominator of the R ratio vanishes."""
+
+
+class Beta1Beta2MismatchError(ValueError):
+    """The relation check needs beta1 - beta2 = l."""
+
+
+# A namedtuple base, not a dataclass, so that a cold process need not import
+# dataclasses (and with it inspect, ast and dis).  No __slots__, so that
+# cached_property has an instance __dict__ to fill.
+class DeformationParams(namedtuple("DeformationParams", "p q alpha beta l")):
     """Immutable (p, q, alpha, beta, l) tuple.
 
     Instances produced by :func:`validate` satisfy p > 0, q > 0 and
     |l * ln(p*q)| > EPS_DEGENERATE.  alpha = 0 is representable (the
     structure function is then constant in n) but is rejected by the
-    operators that divide by alpha.
+    operators that divide by alpha.  `params._replace(p=...)` makes a
+    changed copy, with bracket_constants of its own.
     """
-
-    p: float
-    q: float
-    alpha: float
-    beta: float
-    l: float
 
     @cached_property
     def bracket_constants(self) -> tuple[float, float, float, float, float]:
@@ -77,8 +90,8 @@ class DeformationParams:
 
         (ln q - ln p, L/2, sinh(l L/2), |l|, max(|ln p|, |ln q|)) with
         L = ln p + ln q.  cached_property stores the tuple in the instance
-        __dict__, outside the dataclass fields, so ==, hash, repr and
-        as_dict see only (p, q, alpha, beta, l).
+        __dict__, outside the tuple fields, so ==, hash, repr and as_dict
+        see only (p, q, alpha, beta, l).
         """
         lp = math.log(self.p)
         lq = math.log(self.q)
@@ -92,13 +105,7 @@ class DeformationParams:
         return (lq - lp, half_ln_pq, den, abs(self.l), alp if alp > alq else alq)
 
     def as_dict(self) -> dict:
-        return {
-            "p": self.p,
-            "q": self.q,
-            "alpha": self.alpha,
-            "beta": self.beta,
-            "l": self.l,
-        }
+        return self._asdict()
 
 
 def validate(p: float, q: float, alpha: float, beta: float, l: float) -> DeformationParams:

@@ -1,34 +1,37 @@
-"""Named-residual reports shared by all verification routines."""
+"""Named-residual reports shared by all verification routines.
+
+Both types are namedtuples, not dataclasses, so that a cold CLI process
+does not import dataclasses (and with it inspect, ast and dis) to build
+them.
+"""
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from collections import namedtuple
 
 
-@dataclass(frozen=True)
-class CheckEntry:
-    label: str
-    residual: float
-    tol: float
+class CheckEntry(namedtuple("CheckEntry", "label residual tol")):
+    __slots__ = ()
 
     @property
     def passed(self) -> bool:
         return self.residual <= self.tol
 
 
-@dataclass(frozen=True)
-class CheckReport:
+class CheckReport(namedtuple("CheckReport", "check entries metadata")):
     """Result of one verification: a list of labelled residuals.
 
     An entry passes iff residual <= tol.  `metadata` carries the context
     needed to reproduce the check (parameter echo, dimension, mode, ...)
-    and must hold only JSON-representable values.
+    and must hold only JSON-representable values; it defaults to a fresh
+    empty dict.
     """
 
-    check: str
-    entries: tuple[CheckEntry, ...]
-    metadata: dict = field(default_factory=dict)
+    __slots__ = ()
+
+    def __new__(cls, check: str, entries: tuple[CheckEntry, ...], metadata: dict | None = None):
+        return super().__new__(cls, check, entries, {} if metadata is None else metadata)
 
     @property
     def passed(self) -> bool:
@@ -54,7 +57,8 @@ class CheckReport:
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2)
+        """Compact JSON of to_dict(); the CLI indents its own output."""
+        return json.dumps(self.to_dict())
 
     @staticmethod
     def from_dict(data: dict) -> "CheckReport":

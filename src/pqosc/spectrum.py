@@ -18,7 +18,7 @@ the independent cross-check through its diagonal Hamiltonian.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from typing import TYPE_CHECKING
 
 from .params import DeformationParams, dual
@@ -47,12 +47,13 @@ def lambda_forms(n: float, params: DeformationParams) -> tuple[float, float, flo
     return main, form_q, form_p
 
 
-@dataclass(frozen=True)
-class SpectrumTable:
-    """Energies lambda_n for n = 0..n_max with all three closed forms."""
+class SpectrumTable(namedtuple("SpectrumTable", "params rows")):
+    """Energies lambda_n for n = 0..n_max with all three closed forms.
 
-    params: DeformationParams
-    rows: tuple[tuple[int, float, float, float], ...]  # (n, main, form_q, form_p)
+    `rows` holds one (n, main, form_q, form_p) tuple per level.
+    """
+
+    __slots__ = ()
 
     def max_form_spread(self) -> float:
         spread = 0.0
@@ -94,8 +95,11 @@ def check_pq_inversion(params: DeformationParams, n_max: int, tol: float = 1e-11
     """Spectrum invariance under p -> 1/q, q -> 1/p.
 
     Residuals are |lambda_n(params) - lambda_n(dual)| scaled by
-    1 + |lambda_n|, reported as the maximum over n = 0..n_max.
+    1 + |lambda_n|, reported as the maximum over n = 0..n_max.  Raises
+    ValueError for n_max < 0, where no level would be compared.
     """
+    if n_max < 0:
+        raise ValueError(f"n_max must be nonnegative, got {n_max}")
     other = dual(params)
     worst = 0.0
     for n in range(n_max + 1):

@@ -30,6 +30,20 @@ def test_series_prunes_tiny_and_cancelled_terms():
     assert s.is_zero()
 
 
+def test_series_is_a_value_not_a_tuple():
+    s = ExpSeries.from_terms([(1.0, 2.0), (0.0, 1.0)])
+    assert repr(s) == "ExpSeries(terms=((0.0, 1.0), (1.0, 2.0)))"
+    assert s == ExpSeries(((0.0, 1.0), (1.0, 2.0))) and s != s.terms
+    assert hash(s) == hash(ExpSeries(s.terms))
+    assert (2 * s).terms == ((0.0, 2.0), (1.0, 4.0))
+    with pytest.raises(TypeError):
+        s * 2
+    with pytest.raises(TypeError):
+        len(s)
+    with pytest.raises(AttributeError):
+        s.terms = ()
+
+
 def test_series_term_bound():
     with pytest.raises(ValueError):
         ExpSeries.from_terms((float(i), 1.0) for i in range(20001))
@@ -101,6 +115,11 @@ def test_check_realization_zero_alpha():
     params = validate(2, 3, 0, 0, 1)
     with pytest.raises(ZeroAlphaError):
         check_realization(params, [0.0, 1.0], tol=1e-12)
+
+
+def test_check_realization_needs_an_exponent(base_params):
+    with pytest.raises(ValueError):
+        check_realization(base_params, [])
 
 
 def test_matches_fock_weights(base_params):

@@ -132,3 +132,11 @@ def test_apply_word_validates(base_params):
         apply_word(rep, ["a"], np.zeros(5))
     with pytest.raises(KeyError):
         apply_word(rep, ["bogus"], np.zeros(4))
+
+
+def test_relations_need_an_interior_level(base_params):
+    assert check_relations(build(base_params, dim=2)).passed
+    rep = build(base_params, dim=1)
+    for mode in ("grading", "literal"):
+        with pytest.raises(ValueError):
+            check_relations(rep, mode)

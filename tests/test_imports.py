@@ -1,4 +1,4 @@
-"""The scalar CLI path imports no numpy; the lazy package names still resolve."""
+"""Each cold CLI process loads only its command's modules; the lazy package names still resolve."""
 
 import os
 import subprocess
@@ -23,47 +23,77 @@ def cold(*args: str) -> subprocess.CompletedProcess:
     )
 
 
+def imported(proc: subprocess.CompletedProcess) -> set[str]:
+    """The modules the -X importtime lines of a cold process name."""
+    lines = (line for line in proc.stderr.splitlines() if line.startswith("import time:"))
+    return {line.rsplit("|", 1)[-1].strip() for line in lines}
+
+
 def imports_numpy(proc: subprocess.CompletedProcess) -> bool:
-    modules = (line.rsplit("|", 1)[-1].strip() for line in proc.stderr.splitlines())
-    return any(m == "numpy" or m.startswith("numpy.") for m in modules)
+    return any(m == "numpy" or m.startswith("numpy.") for m in imported(proc))
+
+
+def pqosc_modules(proc: subprocess.CompletedProcess) -> set[str]:
+    """The pqosc submodules a cold process loaded, without the package prefix."""
+    return {m[len("pqosc."):] for m in imported(proc) if m.startswith("pqosc.")}
+
+
+def test_import_pqosc_loads_no_submodule():
+    proc = cold("-c", "import pqosc")
+    assert proc.returncode == 0, proc.stderr
+    assert "pqosc" in imported(proc)
+    assert pqosc_modules(proc) == set()
 
 
 def test_import_pqosc_and_cli_load_no_numpy():
     proc = cold("-c", "import pqosc, pqosc.cli")
     assert proc.returncode == 0, proc.stderr
     assert not imports_numpy(proc)
+    assert "dataclasses" not in imported(proc)
+
+
+SCALAR = {"cli", "params", "structure", "report"}
 
 
 @pytest.mark.parametrize(
-    "argv, code",
+    "argv, code, modules, dataclasses",
     [
-        (["numbers", "--p", "2", "--q", "3"], 0),
-        (["spectrum", "--p", "2", "--q", "3", "--n-max", "5"], 0),
-        (["calculus-check", "--p", "2", "--q", "3"], 0),
-        (["hopf-solve", "--p", "2", "--q", "3", "--beta1", "0.7", "--beta2", "0.7"], 0),
-        (["numbers", "--p", "-1", "--q", "3"], 2),
-        (["hopf-solve", "--p", "2", "--q", "2", "--beta1", "1", "--beta2", "0"], 3),
+        (["numbers", "--p", "2", "--q", "3"], 0, SCALAR, False),
+        (["spectrum", "--p", "2", "--q", "3", "--n-max", "5"], 0, SCALAR | {"spectrum"}, False),
+        (["calculus-check", "--p", "2", "--q", "3"], 0, SCALAR | {"calculus"}, False),
+        (["hopf-solve", "--p", "2", "--q", "3", "--beta1", "0.7", "--beta2", "0.7"], 0,
+         SCALAR | {"coefficients"}, True),
+        (["numbers", "--p", "-1", "--q", "3"], 2, SCALAR, False),
+        (["hopf-solve", "--p", "2", "--q", "2", "--beta1", "1", "--beta2", "0"], 3,
+         SCALAR | {"coefficients"}, True),
     ],
     ids=["numbers", "spectrum", "calculus-check", "hopf-solve", "numbers-p<0", "hopf-solve-p=q"],
 )
-def test_scalar_commands_load_no_numpy(argv, code):
+def test_scalar_commands_load_no_numpy(argv, code, modules, dataclasses):
+    """No numpy, only the command's own pqosc modules, and no dataclasses
+    where every type the command builds is a namedtuple."""
     proc = cold("-m", "pqosc", *argv, "--no-timestamp")
     assert proc.returncode == code, proc.stderr[-500:]
     assert not imports_numpy(proc)
+    assert pqosc_modules(proc) == modules
+    assert ("dataclasses" in imported(proc)) == dataclasses
+    assert "datetime" not in imported(proc)
 
 
 @pytest.mark.parametrize(
-    "argv",
+    "argv, modules",
     [
-        ["rep-check", "--p", "2", "--q", "3"],
-        ["hopf-check", "--p", "2", "--q", "3", "--beta1", "0.7", "--beta2", "0.7", "--dim", "4"],
+        (["rep-check", "--p", "2", "--q", "3"], SCALAR | {"fock"}),
+        (["hopf-check", "--p", "2", "--q", "3", "--beta1", "0.7", "--beta2", "0.7", "--dim", "4"],
+         SCALAR | {"coefficients", "fock", "hopf"}),
     ],
     ids=["rep-check", "hopf-check"],
 )
-def test_matrix_commands_still_run(argv):
+def test_matrix_commands_still_run(argv, modules):
     proc = cold("-m", "pqosc", *argv, "--no-timestamp")
     assert proc.returncode == 0, proc.stderr[-500:]
     assert imports_numpy(proc)  # the probe sees numpy where it is loaded
+    assert pqosc_modules(proc) == modules
 
 
 def test_public_names_resolve():
@@ -71,12 +101,26 @@ def test_public_names_resolve():
     for name in pqosc.__all__:
         assert getattr(pqosc, name) is not None
         assert name in listed
-    assert pqosc.FockRep is pqosc.fock.FockRep
-    assert pqosc.check_coassociativity is pqosc.hopf.check_coassociativity
+    for module, names in pqosc._EXPORTS.items():
+        home = getattr(pqosc, module)
+        assert home.__name__ == f"pqosc.{module}"
+        for name in names:
+            assert getattr(pqosc, name) is getattr(home, name)
+            assert getattr(home, name).__module__ == home.__name__  # its defining module
+            assert name in vars(pqosc)  # stored on first access: later reads skip __getattr__
+    assert set(pqosc.__all__) == {*pqosc._HOME, "__version__"}
     assert pqosc.hopf.HopfParams is coefficients.HopfParams
     assert pqosc.hopf.validate_hopf is pqosc.validate_hopf
     with pytest.raises(AttributeError):
         pqosc.no_such_name
+
+
+@pytest.mark.parametrize("name", ["GammaUndefinedError", "ADegenerateError", "Beta1Beta2MismatchError"])
+def test_solve_errors_are_one_class(name):
+    from pqosc import hopf
+
+    assert getattr(params, name) is getattr(coefficients, name) is getattr(hopf, name)
+    assert getattr(pqosc, name) is getattr(params, name)
 
 
 def test_fock_error_maps_to_exit_two(monkeypatch, capsys):

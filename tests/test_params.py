@@ -1,4 +1,3 @@
-import dataclasses
 import math
 
 import pytest
@@ -85,7 +84,7 @@ XS = (-2.5, 0.0, 1.0, 3.7, 12.0)
 def test_bracket_constants_belong_to_each_instance():
     params = validate(2, 3, 1.5, 0.5, 1.25)
     before = [bracket(x, params) for x in XS]  # fills params' cache
-    replaced = dataclasses.replace(params, p=1.5)
+    replaced = params._replace(p=1.5)
     fresh = validate(1.5, 3, 1.5, 0.5, 1.25)
     assert replaced.bracket_constants == fresh.bracket_constants
     assert [bracket(x, replaced) for x in XS] == [bracket(x, fresh) for x in XS]
@@ -105,3 +104,7 @@ def test_bracket_constants_leave_the_fields_alone():
     bracket(1.0, params)
     assert "bracket_constants" in vars(params) and "bracket_constants" not in vars(twin)
     assert (params == twin, hash(params), repr(params), params.as_dict()) == seen
+    assert repr(params) == "DeformationParams(p=2.0, q=3.0, alpha=1.5, beta=0.5, l=1.25)"
+    assert params.as_dict() == {"p": 2.0, "q": 3.0, "alpha": 1.5, "beta": 0.5, "l": 1.25}
+    with pytest.raises(AttributeError):
+        params.p = 1.5

@@ -1,3 +1,7 @@
+import json
+
+import pytest
+
 from pqosc import CheckEntry, CheckReport
 
 
@@ -24,5 +28,23 @@ def test_json_round_trip():
         (CheckEntry("one", 1.2345678901234567e-11, 1e-10),),
         {"params": {"p": 2.0, "q": 3.0}, "mode": "grading"},
     )
-    again = CheckReport.from_json(report.to_json())
+    text = report.to_json()
+    assert text == json.dumps(report.to_dict())  # compact: one line, no indent
+    again = CheckReport.from_json(text)
     assert again == report
+
+
+def test_reports_are_immutable_values():
+    entry = CheckEntry("one", 0.5, 1.0)
+    assert repr(entry) == "CheckEntry(label='one', residual=0.5, tol=1.0)"
+    first, second = CheckReport("demo", (entry,)), CheckReport("demo", (entry,))
+    assert first.metadata == {} and first.metadata is not second.metadata
+    assert repr(first) == (
+        "CheckReport(check='demo', entries=(CheckEntry(label='one', residual=0.5, tol=1.0),), "
+        "metadata={})"
+    )
+    assert first == second and hash(entry) == hash(CheckEntry("one", 0.5, 1.0))
+    with pytest.raises(AttributeError):
+        entry.tol = 2.0
+    with pytest.raises(AttributeError):
+        first.check = "other"

@@ -110,6 +110,12 @@ def test_spectrum_table_rows(base_params):
         spectrum_table(base_params, n_max=-1)
 
 
+def test_check_pq_inversion_needs_a_level(base_params):
+    assert check_pq_inversion(base_params, n_max=0).entries[0].residual == 0.0
+    with pytest.raises(ValueError):
+        check_pq_inversion(base_params, n_max=-1)
+
+
 def test_negative_levels_admitted(base_params):
     main, fq, fp = lambda_forms(-3, base_params)
     assert main == pytest.approx(fq, rel=1e-12)
