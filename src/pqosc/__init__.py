@@ -12,7 +12,7 @@ named-residual CheckReport.
 
 # Every public name loads its module on first access (PEP 562) and is then
 # stored here, so `import pqosc` imports no submodule, a command loads only
-# the modules it runs, and only fock and hopf bring in numpy.
+# the modules it runs, and only hopf brings in numpy.
 _EXPORTS = {
     "params": (
         "DeformationParams",

@@ -17,14 +17,14 @@ that uses it, and datetime only when a timestamp is written.
     spectrum         + spectrum
     calculus-check   + calculus
     hopf-solve       + coefficients
-    rep-check, sweep + fock (numpy)
+    rep-check, sweep + fock
     hopf-check       + coefficients, fock, hopf (numpy)
 
-The first four commands import no numpy.  numbers, spectrum and
-calculus-check import no dataclasses either: every type they build (Config
-here, DeformationParams, the reports, SpectrumTable, ExpSeries) is a
-namedtuple or a plain class.  hopf-solve builds the HopfParams and
-HopfCoefficients dataclasses.
+Only hopf-check imports numpy.  Every command but hopf-solve and
+hopf-check imports no dataclasses either: every type it builds (Config
+here, DeformationParams, the reports, SpectrumTable, ExpSeries, Shift,
+FockRep) is a namedtuple or a plain class.  hopf-solve builds the
+HopfParams and HopfCoefficients dataclasses.
 """
 
 from __future__ import annotations

@@ -21,17 +21,20 @@ negative case.  Truncation from below requires w_0 = 0, i.e. x0 = 0.
 Every generator has exactly one nonzero diagonal, so each is stored as
 a weighted shift: an (offset, weights) pair acting as
 |k> -> weights[k] |k + offset>.  Products of shifts are shifts, and the
-relation residuals and apply_word cost O(dim).  Dense matrices are built
-only on request, for display and tests.
+relation residuals and apply_word cost O(dim).  Weights, states and
+lattices are tuples of Python floats: at these sizes a loop over levels
+costs less than importing numpy, so building and checking a
+representation loads neither numpy nor dataclasses.  Dense matrices are
+built only on request, for display and tests, and only they import
+numpy.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Mapping, Optional, Sequence
-
-import numpy as np
+from collections import namedtuple
+from operator import mul
+from typing import TYPE_CHECKING, Mapping, Optional, Sequence
 
 from .params import (
     DeformationParams,
@@ -43,30 +46,53 @@ from .params import (
 from .report import CheckEntry, CheckReport
 from .structure import bracket, checked_exp
 
+if TYPE_CHECKING:  # annotations only: the representation runs without numpy
+    import numpy as np
+
 _LOWEST_WEIGHT_TOL = 1e-12
 _NEGATIVE_WEIGHT_TOL = 1e-14
 
 
-def shift_levels(w: np.ndarray, offsets: Sequence[int]) -> np.ndarray:
-    """out[k] = w[k + offsets], one offset per axis, zero where k + offsets leaves w."""
-    out = np.zeros_like(w)
-    src, dst = [], []
-    for off, n in zip(offsets, w.shape):
-        if abs(off) >= n:
-            return out
-        src.append(slice(max(off, 0), n + min(off, 0)))
-        dst.append(slice(max(-off, 0), n - max(off, 0)))
-    out[tuple(dst)] = w[tuple(src)]
-    return out
+def _shifted(w: tuple, off: int) -> tuple:
+    """out[k] = w[k + off], zero where k + off leaves w."""
+    n = len(w)
+    if off >= 0:
+        return w[off:] + (0.0,) * min(off, n)
+    return (0.0,) * min(-off, n) + w[: max(n + off, 0)]
 
 
-def dense_matrix(terms: Mapping[tuple, np.ndarray], dim: int) -> np.ndarray:
+def _peak(values) -> float:
+    """Largest |v|, 0.0 for no values; NaN if some v is NaN.
+
+    max alone may skip a NaN, and a residual with a NaN entry must fail.
+    The sum of the magnitudes is NaN exactly when some entry is.
+    """
+    mags = list(map(abs, values))
+    total = sum(mags)
+    return total if total != total else max(mags, default=0.0)
+
+
+def _exps(t: list) -> tuple:
+    """exp of each entry of an exponent lattice, under checked_exp's guard.
+
+    The lattice is affine in the level and rounding is monotone, so its
+    largest |t| sits at one end: guarding that end raises what guarding
+    every entry would, with the same magnitude in the message.
+    """
+    if t:
+        checked_exp(max(abs(t[0]), abs(t[-1])))
+    return tuple(map(math.exp, t))
+
+
+def dense_matrix(terms: Mapping[tuple, Sequence[float]], dim: int) -> np.ndarray:
     """Densify a sum of weighted shifts on the product of len(key) sites.
 
-    Each key is an offset tuple and its array holds the weights indexed
-    by the input levels, so entry (k + offset, k) of the result is
-    terms[offset][k].  For display, tests and coproduct_matrix only.
+    Each key is an offset tuple and its weights are indexed by the input
+    levels, so entry (k + offset, k) of the result is terms[offset][k].
+    For display, tests and coproduct_matrix only; imports numpy.
     """
+    import numpy as np
+
     sites = len(next(iter(terms)))
     shape = (dim,) * sites
     out = np.zeros((dim**sites, dim**sites))
@@ -76,56 +102,47 @@ def dense_matrix(terms: Mapping[tuple, np.ndarray], dim: int) -> np.ndarray:
         ok = np.all((rows >= 0) & (rows < dim), axis=0)
         r = np.ravel_multi_index(tuple(rows[:, ok]), shape)
         c = np.ravel_multi_index(tuple(cols[:, ok]), shape)
-        out[r, c] += w[ok]
+        out[r, c] += np.asarray(w)[ok]
     return out
 
 
-@dataclass(frozen=True)
-class Shift:
+class Shift(namedtuple("Shift", "offset weights")):
     """Weighted shift |k> -> weights[k] |k + offset> on levels 0 .. dim-1.
 
-    weights[k] is zero wherever k + offset leaves the truncation.  A
-    product of shifts is again a shift, and each entry of the dense
-    product has exactly one nonzero term, so products computed here
-    equal the dense matrix products bit for bit.
+    weights is a tuple of floats, zero wherever k + offset leaves the
+    truncation.  A product of shifts is again a shift, and each entry of
+    the dense product has exactly one nonzero term, so products computed
+    here equal the dense matrix products bit for bit.
     """
 
-    offset: int
-    weights: np.ndarray
+    __slots__ = ()
 
     def __matmul__(self, other: "Shift") -> "Shift":
-        return Shift(
-            self.offset + other.offset,
-            shift_levels(self.weights, (other.offset,)) * other.weights,
-        )
+        shifted = _shifted(self.weights, other.offset)
+        return Shift(self.offset + other.offset, tuple(map(mul, shifted, other.weights)))
 
-    def apply(self, vec: np.ndarray) -> np.ndarray:
-        return shift_levels(self.weights * vec, (-self.offset,))
+    def apply(self, vec: Sequence[float]) -> tuple:
+        return _shifted(tuple(map(mul, self.weights, vec)), -self.offset)
 
     def dense(self) -> np.ndarray:
         return dense_matrix({(self.offset,): self.weights}, len(self.weights))
 
 
-@dataclass(frozen=True)
-class FockRep:
+class FockRep(namedtuple("FockRep", "params dim x0 nu0 weights ops")):
     """Truncated representation; every generator is a weighted shift.
 
-    ops maps "1", "a", "a+", "N", "P", "Q" to their shifts: a has
-    offset -1 and weights sqrt(w_k), a+ offset +1 and weights
-    sqrt(w_{k+1}); N, P, Q and 1 are diagonal (offset 0).  A dense
-    matrix, for display and tests, is generator(symbol).dense().
+    weights holds w_k = bracket(x0 + l*k) for k = 0 .. dim, a tuple of
+    dim + 1 floats.  ops maps "1", "a", "a+", "N", "P", "Q" to their
+    shifts: a has offset -1 and weights sqrt(w_k), a+ offset +1 and
+    weights sqrt(w_{k+1}); N, P, Q and 1 are diagonal (offset 0).  A
+    dense matrix, for display and tests, is generator(symbol).dense().
     """
 
-    params: DeformationParams
-    dim: int
-    x0: float
-    nu0: float
-    weights: np.ndarray  # length dim+1, w_k = bracket(x0 + l*k)
-    ops: Mapping[str, Shift]
+    __slots__ = ()
 
     @property
-    def x_lattice(self) -> np.ndarray:
-        return self.x0 + self.params.l * np.arange(self.dim)
+    def x_lattice(self) -> tuple:
+        return tuple(self.x0 + self.params.l * k for k in range(self.dim))
 
     def generator(self, symbol: str) -> Shift:
         try:
@@ -154,8 +171,9 @@ def build(
     x0 = float(x0)
     nu0 = float(nu0)
 
-    weights = np.array([bracket(x0 + params.l * k, params) for k in range(dim + 1)])
-    scale = max(1.0, float(np.max(np.abs(weights))))
+    l = params.l
+    weights = tuple([bracket(x0 + l * k, params) for k in range(dim + 1)])
+    scale = max(1.0, _peak(weights))
     if not (-_NEGATIVE_WEIGHT_TOL * scale <= weights[0] <= _LOWEST_WEIGHT_TOL * scale):
         raise NotLowestWeightError(
             f"w_0 = {weights[0]:.6g} != 0: level 0 is not annihilated "
@@ -165,18 +183,17 @@ def build(
         if weights[k] < -_NEGATIVE_WEIGHT_TOL * scale:
             raise NegativeWeightError(f"w_{k} = {weights[k]:.6g} < 0")
 
-    lower = np.zeros(dim)
-    lower[1:] = np.sqrt(np.maximum(weights[1:dim], 0.0))
+    lower = (0.0,) + tuple([math.sqrt(max(w, 0.0)) for w in weights[1:dim]])
     lp = math.log(params.p)
     lq = math.log(params.q)
-    x = x0 + params.l * np.arange(dim)
+    x = [x0 + l * k for k in range(dim)]
     ops = {
-        "1": Shift(0, np.ones(dim)),
+        "1": Shift(0, (1.0,) * dim),
         "a": Shift(-1, lower),
-        "a+": Shift(1, shift_levels(lower, (1,))),
-        "N": Shift(0, nu0 + params.l * np.arange(dim)),
-        "P": Shift(0, checked_exp(-x * lp)),
-        "Q": Shift(0, checked_exp(x * lq)),
+        "a+": Shift(1, _shifted(lower, 1)),
+        "N": Shift(0, tuple([nu0 + l * k for k in range(dim)])),
+        "P": Shift(0, _exps([-t * lp for t in x])),
+        "Q": Shift(0, _exps([t * lq for t in x])),
     }
     return FockRep(params, dim, x0, nu0, weights, ops)
 
@@ -189,43 +206,44 @@ def check_relations(rep: FockRep, mode: str = "grading", tol: float = 1e-10) -> 
     grading mode P, Q are the stored diagonals; in literal mode they are
     recomputed as diag(p**-(alpha*nu_k + beta)), diag(q**(alpha*nu_k +
     beta)) from the eigenvalues nu_k of N.  Every operator involved is a
-    weighted shift, so each residual is computed on one diagonal.
-    Failures are reported, not raised.  Raises ValueError for dim < 2,
-    which has no interior level to compare.
+    weighted shift, so each residual is one loop over the levels, with
+    the operands of the shift products in the same order.  A NaN weight
+    makes its residuals NaN, and they fail.  Failures are reported, not
+    raised.  Raises ValueError for dim < 2, which has no interior level
+    to compare.
     """
     if mode not in ("grading", "literal"):
         raise ValueError(f"mode must be 'grading' or 'literal', got {mode!r}")
     if rep.dim < 2:
         raise ValueError(f"relations need dim >= 2 (an interior level), got {rep.dim}")
     params = rep.params
+    l = params.l
     if mode == "grading":
         p_gen, q_gen = rep.ops["P"].weights, rep.ops["Q"].weights
     else:
-        nu = rep.nu0 + params.l * np.arange(rep.dim)
-        expo = params.alpha * nu + params.beta
-        p_gen = checked_exp(-expo * math.log(params.p))
-        q_gen = checked_exp(expo * math.log(params.q))
+        expo = [params.alpha * (rep.nu0 + l * k) + params.beta for k in range(rep.dim)]
+        lp, lq = math.log(params.p), math.log(params.q)
+        p_gen = _exps([-t * lp for t in expo])
+        q_gen = _exps([t * lq for t in expo])
 
-    a, ad, n_op = rep.ops["a"], rep.ops["a+"], rep.ops["N"]
-    a_ad = (a @ ad).weights
-    ad_a = (ad @ a).weights
-    interior = slice(0, rep.dim - 1)
-    ql = params.q ** params.l
-    pl = params.p ** (-params.l)
-
-    r_q = (a_ad - ql * ad_a - p_gen)[interior]
-    r_p = (a_ad - pl * ad_a - q_gen)[interior]
-    r_lower = (n_op @ a).weights - (a @ n_op).weights + params.l * a.weights
-    r_raise = (n_op @ ad).weights - (ad @ n_op).weights - params.l * ad.weights
-
-    def mx(v: np.ndarray) -> float:
-        return float(np.max(np.abs(v), initial=0.0))
+    a, ad, n = rep.ops["a"].weights, rep.ops["a+"].weights, rep.ops["N"].weights
+    ql = params.q ** l
+    pl = params.p ** (-l)
+    # Level k of a a+ is a[k+1] ad[k] (interior levels only), of a+ a it is
+    # ad[k-1] a[k], of N a it is N[k-1] a[k] and of N a+ it is N[k+1] ad[k];
+    # a level shifted out of the truncation reads 0.
+    a_ad = [u * v for u, v in zip(a[1:], ad)]
+    ad_a = [u * v for u, v in zip((0.0,) + ad, a)]
+    r_q = [u - ql * v - g for u, v, g in zip(a_ad, ad_a, p_gen)]
+    r_p = [u - pl * v - g for u, v, g in zip(a_ad, ad_a, q_gen)]
+    r_lower = [m * u - u * v + l * u for m, u, v in zip((0.0,) + n, a, n)]
+    r_raise = [m * u - u * v - l * u for m, u, v in zip(n[1:] + (0.0,), ad, n)]
 
     entries = (
-        CheckEntry("aa+ - q^l a+a = P", mx(r_q), tol),
-        CheckEntry("aa+ - p^-l a+a = Q", mx(r_p), tol),
-        CheckEntry("[N, a] = -l a", mx(r_lower), tol),
-        CheckEntry("[N, a+] = l a+", mx(r_raise), tol),
+        CheckEntry("aa+ - q^l a+a = P", _peak(r_q), tol),
+        CheckEntry("aa+ - p^-l a+a = Q", _peak(r_p), tol),
+        CheckEntry("[N, a] = -l a", _peak(r_lower), tol),
+        CheckEntry("[N, a+] = l a+", _peak(r_raise), tol),
     )
     metadata = {
         "params": params.as_dict(),
@@ -233,20 +251,30 @@ def check_relations(rep: FockRep, mode: str = "grading", tol: float = 1e-10) -> 
         "mode": mode,
         "x0": rep.x0,
         "nu0": rep.nu0,
-        "maxweight": float(np.max(np.abs(rep.weights))),
+        "maxweight": _peak(rep.weights),
     }
     return CheckReport("fock-relations", entries, metadata)
 
 
-def apply_word(rep: FockRep, word: Sequence[str], state: np.ndarray) -> np.ndarray:
-    """Apply a product of generators to a state; rightmost symbol first."""
+def apply_word(rep: FockRep, word: Sequence[str], state: Sequence[float]) -> list:
+    """Apply a product of generators to a state; rightmost symbol first.
+
+    state is a flat sequence of dim numbers (a list, tuple or 1-D array);
+    the result is a new list of dim floats, which the caller may change.
+    """
     if len(word) == 0:
         raise ValueError("word must be nonempty")
-    vec = np.asarray(state, dtype=float)
-    if vec.shape != (rep.dim,):
-        raise DimensionMismatchError(f"state has shape {vec.shape}, expected ({rep.dim},)")
-    if not np.all(np.isfinite(vec)):
+    shape = getattr(state, "shape", None)  # an array's; a sequence must hold numbers
+    if shape is not None and len(shape) != 1:
+        raise DimensionMismatchError(f"state has shape {tuple(shape)}, expected ({rep.dim},)")
+    try:
+        vec = tuple(map(float, state))
+    except TypeError:  # not a sequence, or one of sequences
+        raise DimensionMismatchError(f"state must be a sequence of {rep.dim} numbers") from None
+    if len(vec) != rep.dim:
+        raise DimensionMismatchError(f"state has shape ({len(vec)},), expected ({rep.dim},)")
+    if not all(map(math.isfinite, vec)):
         raise ValueError("state must be finite")
     for symbol in reversed(list(word)):
         vec = rep.generator(symbol).apply(vec)
-    return vec
+    return list(vec)

@@ -17,7 +17,9 @@ product of them is the outer product of their weight vectors under the
 tuple of their offsets.  The checks run on these: the three-site
 coassociativity residual costs O(dim^3) time and memory, the interior
 projector is a cut on the input levels, and no dense d^k x d^k matrix is
-built; coproduct_matrix densifies on request.
+built; coproduct_matrix densifies on request.  fock keeps its weights
+as tuples of floats; the evaluator turns them into numpy arrays once,
+and every outer product and one-site product here is numpy.
 """
 
 from __future__ import annotations
@@ -39,7 +41,7 @@ from .coefficients import (  # noqa: F401  (re-exported: the scalar half of the 
 )
 from .params import require_nonzero_alpha
 from .report import CheckEntry, CheckReport
-from .fock import FockRep, Shift, dense_matrix, shift_levels
+from .fock import FockRep, Shift, dense_matrix
 
 # ---------------------------------------------------------------------------
 # Tensor-product evaluation
@@ -51,6 +53,24 @@ from .fock import FockRep, Shift, dense_matrix, shift_levels
 # the dense matrix is weights[k]; terms with different offset tuples
 # never share an entry, so sums and comparisons go offset by offset.
 Terms = dict[tuple, np.ndarray]
+
+
+def shift_levels(w: np.ndarray, offsets: tuple) -> np.ndarray:
+    """out[k] = w[k + offsets], one offset per axis, zero where k + offsets leaves w."""
+    out = np.zeros_like(w)
+    src, dst = [], []
+    for off, n in zip(offsets, w.shape):
+        if abs(off) >= n:
+            return out
+        src.append(slice(max(off, 0), n + min(off, 0)))
+        dst.append(slice(max(-off, 0), n - max(off, 0)))
+    out[tuple(dst)] = w[tuple(src)]
+    return out
+
+
+def _product(x: Shift, y: Shift) -> Shift:
+    """The shift x @ y on array weights: fock's one-site product, in numpy."""
+    return Shift(x.offset + y.offset, shift_levels(x.weights, (y.offset,)) * y.weights)
 
 
 def _add(acc: Terms, key: tuple, w: np.ndarray) -> None:
@@ -120,8 +140,11 @@ class _HopfEvaluator:
         p, q = rep.params.p, rep.params.q
         self.p, self.q = p, q
         lp, lq = math.log(p), math.log(q)
-        xt = rep.x_lattice / rep.params.alpha  # lattice carried by a bare N exponent
-        one, a, ad, n_op = (rep.ops[s] for s in ("1", "a", "a+", "N"))
+        xt = np.array(rep.x_lattice) / rep.params.alpha  # lattice carried by a bare N exponent
+        # The shifts of this evaluator hold arrays; fock's hold tuples.
+        one, a, ad, n_op = (
+            Shift(rep.ops[s].offset, np.array(rep.ops[s].weights)) for s in ("1", "a", "a+", "N")
+        )
 
         self.ops = {
             "1": one,
@@ -204,8 +227,9 @@ class _HopfEvaluator:
         return _compare(left, target)[0], _compare(right, target)[0]
 
     def antipode_sides(self, gen: str) -> tuple[Terms, Terms]:
-        m_id_s = _one_site((t, self.ops[s1] @ self.sops[s2]) for t, (s1, s2) in self.delta[gen])
-        m_s_id = _one_site((t, self.sops[s1] @ self.ops[s2]) for t, (s1, s2) in self.delta[gen])
+        terms = self.delta[gen]
+        m_id_s = _one_site((t, _product(self.ops[s1], self.sops[s2])) for t, (s1, s2) in terms)
+        m_s_id = _one_site((t, _product(self.sops[s1], self.ops[s2])) for t, (s1, s2) in terms)
         return m_id_s, m_s_id
 
 
@@ -321,7 +345,7 @@ def check_homomorphism(
     den = p ** (-l) - q ** l
     coef_p = (p ** (-alpha * hc.gamma)) * (p ** (-hp.beta1) - hc.A * p ** (-hp.beta2)) / den
     coef_q = (q ** (alpha * hc.gamma)) * (q ** hp.beta1 - hc.A * q ** hp.beta2) / den
-    pw, qw = rep.ops["P"].weights, rep.ops["Q"].weights
+    pw, qw = np.array(rep.ops["P"].weights), np.array(rep.ops["Q"].weights)
     rhs = {(0, 0): coef_p * np.multiply.outer(pw, pw) - coef_q * np.multiply.outer(qw, qw)}
     residual = _compare(lhs, rhs, keep=max(rep.dim - 2, 0))[0]
 

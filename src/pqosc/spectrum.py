@@ -25,9 +25,7 @@ from .params import DeformationParams, dual
 from .report import CheckEntry, CheckReport
 from .structure import bracket
 
-if TYPE_CHECKING:  # annotations only: the closed forms run without numpy
-    import numpy as np
-
+if TYPE_CHECKING:  # annotations only
     from .fock import FockRep
 
 
@@ -79,7 +77,7 @@ def spectrum_table(params: DeformationParams, n_max: int) -> SpectrumTable:
     return table
 
 
-def hamiltonian_eigs(rep: FockRep) -> np.ndarray:
+def hamiltonian_eigs(rep: FockRep) -> tuple[float, ...]:
     """Diagonal of a+ a + a a+ on the truncation-safe interior levels.
 
     Level k of the interior (k <= dim-2) carries w_k + w_{k+1}; the sum
@@ -87,8 +85,8 @@ def hamiltonian_eigs(rep: FockRep) -> np.ndarray:
     while the literal matrix product reproduces it only to rounding in
     sqrt(w)**2.
     """
-    d = rep.dim
-    return rep.weights[: d - 1] + rep.weights[1:d]
+    w = rep.weights
+    return tuple([w[k] + w[k + 1] for k in range(rep.dim - 1)])
 
 
 def check_pq_inversion(params: DeformationParams, n_max: int, tol: float = 1e-11) -> CheckReport:

@@ -70,7 +70,7 @@ class DenseHopf:
     def __init__(self, rep, hc):
         p, q = rep.params.p, rep.params.q
         lp, lq = math.log(p), math.log(q)
-        xt = rep.x_lattice / rep.params.alpha
+        xt = np.asarray(rep.x_lattice) / rep.params.alpha
         m = one_site(rep)
         self.dim = rep.dim
         self.mats = {

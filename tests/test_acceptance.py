@@ -139,7 +139,7 @@ def test_criterion_5_matrix_formula_agreement():
         params = validate(p, q, alpha, 0.0, alpha)  # alignment regime alpha = l
         rep = build(params, dim=12, x0=0.0)
         eigs = hamiltonian_eigs(rep)
-        exact &= np.array_equal(eigs, rep.weights[:11] + rep.weights[1:12])
+        exact &= np.array_equal(eigs, np.asarray(rep.weights)[:11] + np.asarray(rep.weights)[1:12])
         for k, value in enumerate(eigs):
             lam = lambda_n(k, params)
             worst = max(worst, abs(value - lam) / (1.0 + abs(lam)))

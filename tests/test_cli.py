@@ -71,6 +71,21 @@ def test_rep_check_literal_alpha_two_fails(capsys):
     assert not all(r["pass"] for r in payload["results"])
 
 
+@pytest.mark.parametrize("argv, code, err", [
+    # the message names the largest exponent of the literal Q lattice, 798 ln 3
+    (["--alpha", "2", "--dim", "400", "--mode", "literal"], 3,
+     "error: ExponentOverflowError: exponent magnitude 877 exceeds 700\n"),
+    # w_dim = bracket(638) needs 638 ln 3 = 700.9
+    (["--dim", "638"], 3, "error: ExponentOverflowError: exponent magnitude 701 exceeds 700\n"),
+    (["--dim", "637"], 0, ""),
+], ids=["literal-dim-400", "dim-638", "dim-637"])
+def test_rep_check_overflow_boundary(capsys, argv, code, err):
+    got = run_capture(capsys, ["rep-check", "--p", "2", "--q", "3", *argv, "--no-timestamp"])
+    assert got[0] == code
+    assert got[2] == err
+    assert (got[1] == "") == (code == 3)
+
+
 def test_rep_check_grading_passes(capsys):
     code, out, _ = run_capture(
         capsys,

@@ -10,7 +10,7 @@ from pqosc import (
     pq_sum_oracle,
     validate,
 )
-from pqosc.fock import DimensionMismatchError, build
+from pqosc.fock import DimensionMismatchError, Shift, build
 
 
 def interior_projector(dim: int, levels: int = 1) -> np.ndarray:
@@ -27,7 +27,7 @@ WEIGHTS_FIXTURE = [0.0, 1.0, 3.5, 10.75, 32.375]
 
 def test_weights_match_oracle(base_params):
     rep = build(base_params, dim=4)
-    assert rep.weights.shape == (5,)
+    assert np.asarray(rep.weights).shape == (5,)
     for k, want in enumerate(WEIGHTS_FIXTURE):
         assert rep.weights[k] == pytest.approx(want, rel=1e-13, abs=1e-15)
         assert pq_sum_oracle(k, 2, 3) == pytest.approx(want, rel=1e-15)
@@ -48,7 +48,7 @@ def test_nonzero_beta_default_needs_lowest_weight():
 def test_nonzero_beta_with_explicit_x0():
     params = validate(2, 3, 1, 0.5, 1)
     rep = build(params, dim=6, x0=0.0)
-    report = check_relations(rep, "grading", tol=1e-11 * float(rep.weights.max()))
+    report = check_relations(rep, "grading", tol=1e-11 * float(np.asarray(rep.weights).max()))
     assert report.passed
 
 
@@ -82,7 +82,8 @@ def test_twisted_commutator_any_twist(base_params):
     pi = interior_projector(rep.dim, 1)
     for twist in (-1.3, 0.0, 0.7, 2.0):
         lhs = (a @ a_dag - twist * a_dag @ a) @ pi
-        want = np.diag(rep.weights[1 : rep.dim + 1] - twist * rep.weights[: rep.dim]) @ pi
+        weights = np.asarray(rep.weights)
+        want = np.diag(weights[1 : rep.dim + 1] - twist * weights[: rep.dim]) @ pi
         assert np.max(np.abs(lhs - want)) <= 1e-12 * float(np.max(np.abs(rep.weights)))
 
 
@@ -102,20 +103,20 @@ def test_weights_dual_invariant():
         params = validate(1.7, 0.4, alpha, 0.0, l)
         rep = build(params, dim=12)
         rep_dual = build(dual(params), dim=12)
-        assert np.all(
-            np.abs(rep.weights - rep_dual.weights) <= 1e-12 * (1 + np.abs(rep.weights))
-        )
+        diff = np.asarray(rep.weights) - np.asarray(rep_dual.weights)
+        assert np.all(np.abs(diff) <= 1e-12 * (1 + np.abs(rep.weights)))
 
 
 def test_apply_word(base_params):
     rep = build(base_params, dim=6)
     ground = np.zeros(6)
     ground[0] = 1.0
-    assert np.all(apply_word(rep, ["a"], ground) == 0.0)
+    assert np.all(np.asarray(apply_word(rep, ["a"], ground)) == 0.0)
 
     mid = np.zeros(6)
     mid[2] = 1.0
     out = apply_word(rep, ["a", "a+"], mid)
+    assert type(out) is list  # a new state the caller may change, as the old array was
     want = np.zeros(6)
     want[2] = rep.weights[3]
     assert np.allclose(out, want, rtol=1e-13)
@@ -130,6 +131,10 @@ def test_apply_word_validates(base_params):
         apply_word(rep, [], np.zeros(4))
     with pytest.raises(DimensionMismatchError):
         apply_word(rep, ["a"], np.zeros(5))
+    with pytest.raises(DimensionMismatchError):
+        apply_word(rep, ["a"], np.zeros((4, 1)))
+    with pytest.raises(ValueError, match="finite"):
+        apply_word(rep, ["a"], [0.0, np.nan, 0.0, 0.0])
     with pytest.raises(KeyError):
         apply_word(rep, ["bogus"], np.zeros(4))
 
@@ -140,3 +145,18 @@ def test_relations_need_an_interior_level(base_params):
     for mode in ("grading", "literal"):
         with pytest.raises(ValueError):
             check_relations(rep, mode)
+
+
+def test_nan_weight_fails_its_relations(base_params):
+    rep = build(base_params, dim=8)
+    weights = list(rep.ops["a"].weights)
+    weights[3] = np.nan
+    bad = rep._replace(ops={**rep.ops, "a": Shift(-1, tuple(weights))})
+    report = check_relations(bad, "grading", tol=1e-9)
+    residuals = {e.label: e.residual for e in report.entries}
+    # a[3] enters a a+ and a+ a on levels 2 and 3, and [N, a] on level 3
+    assert np.isnan(residuals["aa+ - q^l a+a = P"])
+    assert np.isnan(residuals["aa+ - p^-l a+a = Q"])
+    assert np.isnan(residuals["[N, a] = -l a"])
+    assert residuals["[N, a+] = l a+"] <= 1e-9
+    assert not report.passed

@@ -53,6 +53,7 @@ def test_import_pqosc_and_cli_load_no_numpy():
 
 
 SCALAR = {"cli", "params", "structure", "report"}
+GRID = "p = 0.5, 2\nq = 3\ndim = 8\n"  # a sweep config, written to "{grid}" in argv
 
 
 @pytest.mark.parametrize(
@@ -66,12 +67,21 @@ SCALAR = {"cli", "params", "structure", "report"}
         (["numbers", "--p", "-1", "--q", "3"], 2, SCALAR, False),
         (["hopf-solve", "--p", "2", "--q", "2", "--beta1", "1", "--beta2", "0"], 3,
          SCALAR | {"coefficients"}, True),
+        (["rep-check", "--p", "2", "--q", "3"], 0, SCALAR | {"fock"}, False),
+        (["rep-check", "--p", "2", "--q", "3", "--alpha", "2", "--mode", "literal"], 1,
+         SCALAR | {"fock"}, False),
+        (["sweep", "--config", "{grid}"], 0, SCALAR | {"fock"}, False),
+        (["sweep", "--config", "{grid}", "--format", "csv"], 0, SCALAR | {"fock"}, False),
     ],
-    ids=["numbers", "spectrum", "calculus-check", "hopf-solve", "numbers-p<0", "hopf-solve-p=q"],
+    ids=["numbers", "spectrum", "calculus-check", "hopf-solve", "numbers-p<0", "hopf-solve-p=q",
+         "rep-check", "rep-check-literal", "sweep-json", "sweep-csv"],
 )
-def test_scalar_commands_load_no_numpy(argv, code, modules, dataclasses):
+def test_scalar_commands_load_no_numpy(tmp_path, argv, code, modules, dataclasses):
     """No numpy, only the command's own pqosc modules, and no dataclasses
     where every type the command builds is a namedtuple."""
+    grid = tmp_path / "grid.cfg"
+    grid.write_text(GRID)
+    argv = [str(grid) if arg == "{grid}" else arg for arg in argv]
     proc = cold("-m", "pqosc", *argv, "--no-timestamp")
     assert proc.returncode == code, proc.stderr[-500:]
     assert not imports_numpy(proc)
@@ -83,11 +93,10 @@ def test_scalar_commands_load_no_numpy(argv, code, modules, dataclasses):
 @pytest.mark.parametrize(
     "argv, modules",
     [
-        (["rep-check", "--p", "2", "--q", "3"], SCALAR | {"fock"}),
         (["hopf-check", "--p", "2", "--q", "3", "--beta1", "0.7", "--beta2", "0.7", "--dim", "4"],
          SCALAR | {"coefficients", "fock", "hopf"}),
     ],
-    ids=["rep-check", "hopf-check"],
+    ids=["hopf-check"],
 )
 def test_matrix_commands_still_run(argv, modules):
     proc = cold("-m", "pqosc", *argv, "--no-timestamp")
