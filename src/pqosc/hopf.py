@@ -17,14 +17,17 @@ product of them is the outer product of their weight vectors under the
 tuple of their offsets.  The checks run on these: the three-site
 coassociativity residual costs O(dim^3) time and memory, the interior
 projector is a cut on the input levels, and no dense d^k x d^k matrix is
-built; coproduct_matrix densifies on request.  fock keeps its weights
-as tuples of floats; the evaluator turns them into numpy arrays once,
-and every outer product and one-site product here is numpy.
+built; coproduct_matrix densifies on request.  The one-site checks
+(counit and antipode) run on fock's own shifts, tuples of floats, with
+one loop over the levels per sum; only the two- and three-site outer
+products are numpy, on one array per symbol.
 """
 
 from __future__ import annotations
 
 import math
+from operator import add, sub
+from typing import Sequence
 
 import numpy as np
 
@@ -41,7 +44,7 @@ from .coefficients import (  # noqa: F401  (re-exported: the scalar half of the 
 )
 from .params import require_nonzero_alpha
 from .report import CheckEntry, CheckReport
-from .fock import FockRep, Shift, dense_matrix
+from .fock import FockRep, Shift, _peak, dense_matrix
 
 # ---------------------------------------------------------------------------
 # Tensor-product evaluation
@@ -53,6 +56,9 @@ from .fock import FockRep, Shift, dense_matrix
 # the dense matrix is weights[k]; terms with different offset tuples
 # never share an entry, so sums and comparisons go offset by offset.
 Terms = dict[tuple, np.ndarray]
+# A one-site sum of shifts, {offset: weights}, the weights a sequence of
+# floats indexed by the input level.
+OneSite = dict[int, Sequence[float]]
 
 
 def shift_levels(w: np.ndarray, offsets: tuple) -> np.ndarray:
@@ -68,21 +74,27 @@ def shift_levels(w: np.ndarray, offsets: tuple) -> np.ndarray:
     return out
 
 
-def _product(x: Shift, y: Shift) -> Shift:
-    """The shift x @ y on array weights: fock's one-site product, in numpy."""
-    return Shift(x.offset + y.offset, shift_levels(x.weights, (y.offset,)) * y.weights)
-
-
 def _add(acc: Terms, key: tuple, w: np.ndarray) -> None:
     acc[key] = acc[key] + w if key in acc else w
 
 
-def _one_site(terms) -> Terms:
-    """Sum of (coef, Shift) pairs, in order."""
-    out: Terms = {}
+def _one_site(terms) -> OneSite:
+    """Sum of (coef, Shift) pairs, in order, as {offset: weights}."""
+    out: OneSite = {}
     for coef, shift in terms:
-        _add(out, (shift.offset,), coef * shift.weights)
+        w = [coef * v for v in shift.weights]
+        acc = out.get(shift.offset)
+        out[shift.offset] = w if acc is None else list(map(add, acc, w))
     return out
+
+
+def _one_site_residual(left: OneSite, right: OneSite) -> float:
+    """Largest |left - right| over every offset and level; NaN if any entry is."""
+    diffs = []
+    for key in dict.fromkeys([*left, *right]):
+        lw, rw = left.get(key), right.get(key)
+        diffs += rw if lw is None else lw if rw is None else map(sub, lw, rw)
+    return _peak(diffs)
 
 
 def _matmul(x: Terms, y: Terms) -> Terms:
@@ -107,15 +119,11 @@ def _compare(left: Terms, right: Terms, keep: int | None = None):
         diff = lw - rw
         inner = (slice(0, keep),) * diff.ndim
         diff = np.abs(diff[inner])
-        if diff.size == 0:
-            continue
         for w in (lw, rw):
             if isinstance(w, np.ndarray):
                 scale = max(scale, float(np.max(np.abs(w[inner]))))
         i = int(np.argmax(diff))
         peaks.append((float(diff.flat[i]), key, np.unravel_index(i, diff.shape)))
-    if not peaks:
-        return 0.0, scale, None, None
     residual, key, levels = peaks[int(np.argmax([p[0] for p in peaks]))]
     return residual, scale, [int(o) for o in key], [int(k) for k in levels]
 
@@ -126,36 +134,41 @@ class _HopfEvaluator:
     The exponential factors are graded over the representation lattice:
     the slot `alpha*N` carries exponent x_k, so p^(-a1 N) becomes
     diag(p^(-(a1/alpha) x_k)), which for a1 = alpha/2 is the half
-    grading diag(p^(-x_k/2)).  A tensor product of shifts is the outer
-    product of their weights under the tuple of their offsets.  Every
-    product is formed as coef * (A * (B * C)), the order in which the
-    dense Kronecker product multiplies, so the residuals equal those of
-    the dense tensor-product matrices bit for bit.
+    grading diag(p^(-x_k/2)).  ops and sops hold fock.Shifts, whose
+    weights are tuples of floats: the counit and antipode sum and
+    multiply them level by level, one-site products through Shift.@.
+    The tensor kernel reads one numpy array per symbol from arrays.  A
+    tensor product of shifts is the outer product of their weights under
+    the tuple of their offsets.  Every product is formed as
+    coef * (A * (B * C)), the order in which the dense Kronecker product
+    multiplies, so the residuals equal those of the dense tensor-product
+    matrices bit for bit.
     """
 
     def __init__(self, rep: FockRep, hc: HopfCoefficients):
         require_nonzero_alpha(rep.params)
         self.rep = rep
-        self.hc = hc
         p, q = rep.params.p, rep.params.q
-        self.p, self.q = p, q
         lp, lq = math.log(p), math.log(q)
         xt = np.array(rep.x_lattice) / rep.params.alpha  # lattice carried by a bare N exponent
-        # The shifts of this evaluator hold arrays; fock's hold tuples.
-        one, a, ad, n_op = (
-            Shift(rep.ops[s].offset, np.array(rep.ops[s].weights)) for s in ("1", "a", "a+", "N")
-        )
-
-        self.ops = {
-            "1": one,
-            "a": a,
-            "a+": ad,
-            "N": n_op,
-            "G1": Shift(0, np.exp(-hc.alpha1 * xt * lp)),
-            "H2": Shift(0, np.exp(hc.alpha2 * xt * lq)),
-            "G3": Shift(0, np.exp(-hc.alpha3 * xt * lp)),
-            "H4": Shift(0, np.exp(hc.alpha4 * xt * lq)),
+        diagonals = {
+            "G1": np.exp(-hc.alpha1 * xt * lp),
+            "H2": np.exp(hc.alpha2 * xt * lq),
+            "G3": np.exp(-hc.alpha3 * xt * lp),
+            "H4": np.exp(hc.alpha4 * xt * lq),
         }
+        twists = {
+            "G1": p ** (-hc.alpha1 * hc.c13) * np.exp(hc.alpha1 * hc.c12 * xt * lp),
+            "H2": q ** (hc.alpha2 * hc.c13) * np.exp(-hc.alpha2 * hc.c12 * xt * lq),
+            "G3": p ** (-hc.alpha3 * hc.c13) * np.exp(hc.alpha3 * hc.c12 * xt * lp),
+            "H4": q ** (hc.alpha4 * hc.c13) * np.exp(-hc.alpha4 * hc.c12 * xt * lq),
+        }
+        ladder = ("1", "a", "a+", "N")
+
+        self.ops = {s: rep.ops[s] for s in ladder}
+        self.ops.update((s, Shift(0, tuple(w.tolist()))) for s, w in diagonals.items())
+        self.arrays = {s: np.array(rep.ops[s].weights) for s in ladder}
+        self.arrays.update(diagonals)
 
         self.delta = {
             "1": [(1.0, ("1", "1"))],
@@ -183,53 +196,58 @@ class _HopfEvaluator:
         # exponential factors use opposite signs of c12; the mutual-
         # equality identity on the ladder generators and the exact
         # 2*gamma closure gap on N both depend on this pairing.
+        one, a, ad, n_op = (rep.ops[s] for s in ladder)
+        neg_c10, neg_c11 = -hc.c10, -hc.c11
+        s_n = [hc.c12 * n + hc.c13 * u for n, u in zip(n_op.weights, one.weights)]
         self.sops = {
             "1": one,
-            "a": Shift(a.offset, -hc.c11 * a.weights),
-            "a+": Shift(ad.offset, -hc.c10 * ad.weights),
-            "N": Shift(0, hc.c12 * n_op.weights + hc.c13 * one.weights),
-            "G1": Shift(0, p ** (-hc.alpha1 * hc.c13) * np.exp(hc.alpha1 * hc.c12 * xt * lp)),
-            "H2": Shift(0, q ** (hc.alpha2 * hc.c13) * np.exp(-hc.alpha2 * hc.c12 * xt * lq)),
-            "G3": Shift(0, p ** (-hc.alpha3 * hc.c13) * np.exp(hc.alpha3 * hc.c12 * xt * lp)),
-            "H4": Shift(0, q ** (hc.alpha4 * hc.c13) * np.exp(-hc.alpha4 * hc.c12 * xt * lq)),
+            "a": Shift(a.offset, tuple([neg_c11 * w for w in a.weights])),
+            "a+": Shift(ad.offset, tuple([neg_c10 * w for w in ad.weights])),
+            "N": Shift(0, tuple(s_n)),
         }
+        self.sops.update((s, Shift(0, tuple(w.tolist()))) for s, w in twists.items())
 
     def two_site(self, gen: str) -> Terms:
         out: Terms = {}
         for t, (s1, s2) in self.delta[gen]:
-            x, y = self.ops[s1], self.ops[s2]
-            _add(out, (x.offset, y.offset), t * np.multiply.outer(x.weights, y.weights))
+            key = (self.ops[s1].offset, self.ops[s2].offset)
+            _add(out, key, t * np.multiply.outer(self.arrays[s1], self.arrays[s2]))
         return out
 
-    def _three_site(self, gen: str, expand_slot: int) -> Terms:
+    def _three_site(self, gen: str, expand_slot: int, arrays: dict) -> Terms:
         out: Terms = {}
         for t, (s1, s2) in self.delta[gen]:
             if expand_slot == 2:
                 terms = [(t * t2, (s1, u1, u2)) for t2, (u1, u2) in self.delta[s2]]
             else:
                 terms = [(t * t1, (u1, u2, s2)) for t1, (u1, u2) in self.delta[s1]]
-            for coef, symbols in terms:
-                x, y, z = (self.ops[s] for s in symbols)
-                w = coef * np.multiply.outer(x.weights, np.multiply.outer(y.weights, z.weights))
-                _add(out, (x.offset, y.offset, z.offset), w)
+            for coef, (x, y, z) in terms:
+                w = coef * np.multiply.outer(arrays[x], np.multiply.outer(arrays[y], arrays[z]))
+                _add(out, (self.ops[x].offset, self.ops[y].offset, self.ops[z].offset), w)
         return out
 
     def coassoc_residual(self, gen: str):
-        """_compare of the two sides, on the interior (top two levels of each site cut)."""
-        left = self._three_site(gen, expand_slot=2)
-        right = self._three_site(gen, expand_slot=1)
-        return _compare(left, right, keep=max(self.rep.dim - 2, 0))
+        """_compare of the two sides on the interior (top two levels of each site cut).
+
+        Every factor is cut to its first dim - 2 levels before the outer
+        products, so only the compared entries are formed.
+        """
+        keep = self.rep.dim - 2
+        inner = {s: w[:keep] for s, w in self.arrays.items()}
+        left = self._three_site(gen, 2, inner)
+        right = self._three_site(gen, 1, inner)
+        return _compare(left, right)
 
     def counit_residuals(self, gen: str) -> tuple[float, float]:
-        target = _one_site([(1.0, self.ops[gen])])
+        target = {self.ops[gen].offset: self.ops[gen].weights}
         left = _one_site((t * self.eps[s2], self.ops[s1]) for t, (s1, s2) in self.delta[gen])
         right = _one_site((t * self.eps[s1], self.ops[s2]) for t, (s1, s2) in self.delta[gen])
-        return _compare(left, target)[0], _compare(right, target)[0]
+        return _one_site_residual(left, target), _one_site_residual(right, target)
 
-    def antipode_sides(self, gen: str) -> tuple[Terms, Terms]:
+    def antipode_sides(self, gen: str) -> tuple[OneSite, OneSite]:
         terms = self.delta[gen]
-        m_id_s = _one_site((t, _product(self.ops[s1], self.sops[s2])) for t, (s1, s2) in terms)
-        m_s_id = _one_site((t, _product(self.sops[s1], self.ops[s2])) for t, (s1, s2) in terms)
+        m_id_s = _one_site((t, self.ops[s1] @ self.sops[s2]) for t, (s1, s2) in terms)
+        m_s_id = _one_site((t, self.sops[s1] @ self.ops[s2]) for t, (s1, s2) in terms)
         return m_id_s, m_s_id
 
 
@@ -251,7 +269,10 @@ def check_coassociativity(rep: FockRep, hc: HopfCoefficients, tol: float = 1e-10
     gives, per generator, entry_scale (the largest compared |entry| of
     either side) and, in "worst", where the largest residual sits: the
     generator, the offset triple and the input basis triple (k1, k2, k3).
+    Raises ValueError for dim < 3, which has no interior level to compare.
     """
+    if rep.dim < 3:
+        raise ValueError(f"coassociativity needs dim >= 3 (an interior level), got {rep.dim}")
     ev = _HopfEvaluator(rep, hc)
     gens = ("a", "a+", "N")
     found = [ev.coassoc_residual(g) for g in gens]
@@ -291,13 +312,12 @@ def check_antipode(hc: HopfCoefficients, rep: FockRep, tol: float = 1e-10) -> Ch
     as diagnostics; for g = N the gap equals 2*|gamma| exactly.
     """
     ev = _HopfEvaluator(rep, hc)
-    ones = ev.ops["1"].weights
     entries = []
     closure = {}
     for g in ("a", "a+", "N", "1"):
         m_id_s, m_s_id = ev.antipode_sides(g)
-        entries.append(CheckEntry(f"antipode mutual {g}", _compare(m_id_s, m_s_id)[0], tol))
-        closure[g] = _compare(m_id_s, {(0,): ev.eps[g] * ones})[0]
+        entries.append(CheckEntry(f"antipode mutual {g}", _one_site_residual(m_id_s, m_s_id), tol))
+        closure[g] = _one_site_residual(m_id_s, {0: [ev.eps[g]] * rep.dim})
     metadata = {
         "params": rep.params.as_dict(),
         "dim": rep.dim,
@@ -318,8 +338,11 @@ def check_homomorphism(
     Compares D(a)D(a+) - A D(a+)D(a) against the coproduct of the
     relation's right-hand side assembled from the grading diagonals.
     Requires beta1 - beta2 = l, the regime in which the representation
-    satisfies the relation being transported.
+    satisfies the relation being transported.  Raises ValueError for
+    dim < 3, which has no interior level to compare.
     """
+    if rep.dim < 3:
+        raise ValueError(f"homomorphism needs dim >= 3 (an interior level), got {rep.dim}")
     params = rep.params
     if abs((hp.beta1 - hp.beta2) - params.l) > 1e-12:
         raise Beta1Beta2MismatchError(
@@ -347,7 +370,7 @@ def check_homomorphism(
     coef_q = (q ** (alpha * hc.gamma)) * (q ** hp.beta1 - hc.A * q ** hp.beta2) / den
     pw, qw = np.array(rep.ops["P"].weights), np.array(rep.ops["Q"].weights)
     rhs = {(0, 0): coef_p * np.multiply.outer(pw, pw) - coef_q * np.multiply.outer(qw, qw)}
-    residual = _compare(lhs, rhs, keep=max(rep.dim - 2, 0))[0]
+    residual = _compare(lhs, rhs, keep=rep.dim - 2)[0]
 
     entries = (CheckEntry("homomorphism twisted relation", residual, tol),)
     metadata = {

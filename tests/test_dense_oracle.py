@@ -47,9 +47,15 @@ def assert_hopf_matches_dense(hc, rep):
     assert antipode.metadata["axiom_closure"] == closure
 
 
-@pytest.mark.parametrize("p,q", GRID)
-def test_acceptance_grid_matches_dense(p, q):
-    assert_hopf_matches_dense(*hopf_case(p, q, 0.7, 6))
+# dim 6 keeps the plain "p-q" ids; dims 3 and 4 leave interiors of one and
+# two levels, the edge of the interior cut.
+@pytest.mark.parametrize(
+    "p,q,dim",
+    [pytest.param(p, q, dim, id=f"{p}-{q}" + ("" if dim == 6 else f"-dim{dim}"))
+     for dim in (6, 3, 4) for p, q in GRID],
+)
+def test_acceptance_grid_matches_dense(p, q, dim):
+    assert_hopf_matches_dense(*hopf_case(p, q, 0.7, dim))
 
 
 @pytest.mark.parametrize("field", PERTURBED)

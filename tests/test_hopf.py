@@ -157,6 +157,36 @@ def test_coassociativity_closes_at_dim_48(solved):
     assert check_coassociativity(rep, hc).max_residual() <= 1e-9
 
 
+def test_coassociativity_needs_an_interior_level(solved):
+    hp, hc = solved
+    assert check_coassociativity(build(hp.base_params(), 3, x0=0.0), hc).passed
+    for dim in (1, 2):
+        with pytest.raises(ValueError):
+            check_coassociativity(build(hp.base_params(), dim, x0=0.0), hc)
+
+
+@pytest.mark.parametrize("symbol", ("a", "N"))
+def test_nan_weight_fails_the_tensor_checks(rep8, solved, symbol):
+    _, hc = solved
+    weights = list(rep8.ops[symbol].weights)
+    weights[3] = np.nan
+    shift = rep8.ops[symbol]._replace(weights=tuple(weights))
+    bad = rep8._replace(ops={**rep8.ops, symbol: shift})
+    labels = {
+        "hopf-coassociativity": [f"coassoc {symbol}"],
+        "hopf-counit": [f"counit left {symbol}", f"counit right {symbol}"],
+        "hopf-antipode": [f"antipode mutual {symbol}"],
+    }
+    for report in (
+        check_coassociativity(bad, hc),
+        check_counit(hc, bad),
+        check_antipode(hc, bad),
+    ):
+        assert not report.passed
+        for label in labels[report.check]:
+            assert np.isnan(report.entry(label).residual)
+
+
 def test_coassociativity_metadata(rep8, solved):
     _, hc = solved
     meta = check_coassociativity(rep8, hc).metadata
@@ -214,6 +244,17 @@ def test_homomorphism_transport_gap():
     report = check_homomorphism(rep, hc, hp, tol=1e-9)
     assert not report.passed
     assert report.max_residual() > 1e-2
+
+
+def test_homomorphism_needs_an_interior_level():
+    # at dims 1 and 2 no level is left to compare, so even the transport
+    # case, which fails from dim 4 on, would read residual 0
+    hp = validate_hopf(0.5, 3, 2, 1, 1.0, 0.0)
+    hc = solve_coefficients(hp)
+    assert check_homomorphism(build(hp.base_params(), 3, x0=0.0), hc, hp).metadata["dim"] == 3
+    for dim in (1, 2):
+        with pytest.raises(ValueError):
+            check_homomorphism(build(hp.base_params(), dim, x0=0.0), hc, hp)
 
 
 def test_homomorphism_rejects_mismatched_rep(solved):
