@@ -9,6 +9,13 @@ Exit codes: 0 all checks pass, 1 at least one check failed (reports are
 still emitted), 2 invalid parameters or config, 3 internal numeric
 failure (overflow, undefined gamma); the message names the error.
 
+Every handler returns the CheckReports it ran and its CSV table.  The
+driver takes the exit code from CheckReport.passed, once; sweep, whose
+error points are not reports, returns its own.  The JSON result objects
+and the label,residual,tol,pass CSV rows both come from report.results
+and report.result_rows, so a field added to an entry reaches JSON, CSV
+and the exit code through report alone.
+
 Each process loads only the modules its command runs: every pqosc
 module past params, structure and report is imported inside the handler
 that uses it, and datetime only when a timestamp is written.
@@ -46,7 +53,7 @@ from .params import (
     ParameterError,
     validate,
 )
-from .report import CheckEntry, CheckReport
+from .report import RESULT_HEADER, CheckEntry, CheckReport, peak, result_rows, results
 from .structure import ExponentOverflowError, f_general
 
 _PARAM_KEYS = ("p", "q", "alpha", "beta", "l")
@@ -155,16 +162,11 @@ def parse_config(source: str) -> Config:
 # ---------------------------------------------------------------------------
 
 
-def _results(*reports: CheckReport) -> list[dict]:
-    """The result rows of the reports, in order."""
-    return [row for report in reports for row in report.to_dict()["results"]]
-
-
-def _emit(payload: dict, cfg_fmt: str, out_path: str | None, csv_rows) -> None:
+def _emit(payload: dict, cfg_fmt: str, out_path: str | None, table) -> None:
     if cfg_fmt == "json":
         text = json.dumps(payload, indent=2) + "\n"
     else:
-        header, rows = csv_rows
+        header, rows = table
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(header)
@@ -177,28 +179,16 @@ def _emit(payload: dict, cfg_fmt: str, out_path: str | None, csv_rows) -> None:
         sys.stdout.write(text)
 
 
-def _results_csv(payload: dict):
-    rows = [
-        (r["label"], repr(r["residual"]), repr(r["tol"]), str(r["pass"]).lower())
-        for r in payload.get("results", [])
-    ]
-    return ("label", "residual", "tol", "pass"), rows
-
-
-def _exit_from_results(payload: dict) -> int:
-    return 0 if all(r["pass"] for r in payload.get("results", [])) else 1
-
-
 # ---------------------------------------------------------------------------
-# Commands
+# Commands: each fills payload and returns (reports, CSV table); sweep returns
+# (exit code, CSV table)
 # ---------------------------------------------------------------------------
 
 
 def _cmd_numbers(cfg: Config, payload: dict):
     table = [{"n": n, "f": f_general(n, cfg.params)} for n in range(cfg.n_max + 1)]
     payload["table"] = table
-    csv_rows = (("n", "f"), [(row["n"], repr(row["f"])) for row in table])
-    return payload, csv_rows, 0
+    return (), (("n", "f"), [(row["n"], repr(row["f"])) for row in table])
 
 
 def _cmd_spectrum(cfg: Config, payload: dict):
@@ -209,15 +199,12 @@ def _cmd_spectrum(cfg: Config, payload: dict):
     forms = CheckReport(
         "spectrum-forms", (CheckEntry("three-form agreement", table.max_form_spread(), cfg.tol),)
     )
-    payload["results"] = _results(forms, duality)
+    payload["results"] = results((forms, duality))
     payload["table"] = [
         {"n": n, "lambda": main, "form32": fq, "form34": fp} for n, main, fq, fp in table.rows
     ]
-    csv_rows = (
-        ("n", "lambda", "form32", "form34"),
-        [(n, repr(main), repr(fq), repr(fp)) for n, main, fq, fp in table.rows],
-    )
-    return payload, csv_rows, _exit_from_results(payload)
+    rows = [(n, repr(main), repr(fq), repr(fp)) for n, main, fq, fp in table.rows]
+    return (forms, duality), (("n", "lambda", "form32", "form34"), rows)
 
 
 def _relations_report(cfg: Config) -> CheckReport:
@@ -225,26 +212,25 @@ def _relations_report(cfg: Config) -> CheckReport:
     from . import fock
 
     rep = fock.build(cfg.params, cfg.dim)
-    maxweight = float(max(abs(w) for w in rep.weights))
-    return fock.check_relations(rep, cfg.mode, cfg.tol * maxweight)
+    return fock.check_relations(rep, cfg.mode, cfg.tol * peak(rep.weights))
 
 
 def _cmd_rep_check(cfg: Config, payload: dict):
     if cfg.dim < 4:
         raise ConfigError(f"rep-check needs dim >= 4, got {cfg.dim}")
-    report = _relations_report(cfg)
-    payload["results"] = _results(report)
-    payload["metadata"] = report.metadata
-    return payload, _results_csv(payload), _exit_from_results(payload)
+    reports = (_relations_report(cfg),)
+    payload["results"] = results(reports)
+    payload["metadata"] = reports[0].metadata
+    return reports, (RESULT_HEADER, result_rows(reports))
 
 
 def _cmd_calculus_check(cfg: Config, payload: dict):
     from .calculus import check_realization
 
-    report = check_realization(cfg.params, _CALCULUS_EXPONENTS, cfg.tol)
-    payload["results"] = _results(report)
-    payload["metadata"] = report.metadata
-    return payload, _results_csv(payload), _exit_from_results(payload)
+    reports = (check_realization(cfg.params, _CALCULUS_EXPONENTS, cfg.tol),)
+    payload["results"] = results(reports)
+    payload["metadata"] = reports[0].metadata
+    return reports, (RESULT_HEADER, result_rows(reports))
 
 
 def _require_hopf(cfg: Config):
@@ -263,12 +249,11 @@ def _cmd_hopf_solve(cfg: Config, payload: dict):
 
     hp = _require_hopf(cfg)
     hc = coefficients.solve_coefficients(hp)
-    constraints = coefficients.check_constraints(hc, hp, min(cfg.tol, 1e-12))
+    reports = (coefficients.check_constraints(hc, hp, min(cfg.tol, 1e-12)),)
     payload["coefficients"] = hc.as_dict()
-    payload["results"] = _results(constraints)
+    payload["results"] = results(reports)
     rows = [("coefficient:" + k, repr(v), "", "") for k, v in hc.as_dict().items()]
-    rows += _results_csv(payload)[1]
-    return payload, (("label", "residual", "tol", "pass"), rows), _exit_from_results(payload)
+    return reports, (RESULT_HEADER, rows + result_rows(reports))
 
 
 def _cmd_hopf_check(cfg: Config, payload: dict):
@@ -280,22 +265,21 @@ def _cmd_hopf_check(cfg: Config, payload: dict):
     hc = coefficients.solve_coefficients(hp)
     rep = fock.build(hp.base_params(), cfg.dim, x0=0.0)
 
-    reports = [
-        coefficients.check_constraints(hc, hp, min(cfg.tol, 1e-12)),
-        hopf.check_coassociativity(rep, hc, cfg.tol),
-        hopf.check_counit(hc, rep, cfg.tol),
-        hopf.check_antipode(hc, rep, cfg.tol),
-    ]
+    constraints = coefficients.check_constraints(hc, hp, min(cfg.tol, 1e-12))
+    coassoc = hopf.check_coassociativity(rep, hc, cfg.tol)
+    counit = hopf.check_counit(hc, rep, cfg.tol)
+    antipode = hopf.check_antipode(hc, rep, cfg.tol)
+    reports = [constraints, coassoc, counit, antipode]
     if abs((hp.beta1 - hp.beta2) - hp.l) <= 1e-12:
         reports.append(hopf.check_homomorphism(rep, hc, hp, cfg.tol))
     else:
         payload["homomorphism"] = "skipped: beta1 - beta2 != l"
 
     payload["coefficients"] = hc.as_dict()
-    payload["results"] = _results(*reports)
-    payload["diagnostics"] = reports[3].metadata["axiom_closure"]
-    payload["coassociativity"] = {k: reports[1].metadata[k] for k in ("entry_scale", "worst")}
-    return payload, _results_csv(payload), _exit_from_results(payload)
+    payload["results"] = results(reports)
+    payload["diagnostics"] = antipode.metadata["axiom_closure"]
+    payload["coassociativity"] = {k: coassoc.metadata[k] for k in ("entry_scale", "worst")}
+    return reports, (RESULT_HEADER, result_rows(reports))
 
 
 def _cmd_sweep(cfg_values: dict, payload: dict):
@@ -303,36 +287,26 @@ def _cmd_sweep(cfg_values: dict, payload: dict):
         raise ConfigError(f"sweep needs dim >= 4, got {cfg_values['dim']}")
     grid_keys = [k for k in _PARAM_KEYS if isinstance(cfg_values.get(k), tuple)]
     axes = [cfg_values[k] for k in grid_keys]
-    points = []
+    points, rows = [], []
     any_fail = False
     for combo in product(*axes) if grid_keys else [()]:
         values = dict(cfg_values)
         values.update(dict(zip(grid_keys, combo)))
         point = {k: values.get(k) for k in _PARAM_KEYS}
+        base = tuple(repr(point[k]) for k in _PARAM_KEYS)
         try:
-            report = _relations_report(build_config(values))
-            point["results"] = _results(report)
-            if not report.passed:
-                any_fail = True
+            reports = (_relations_report(build_config(values)),)
         except (ParameterError, FockError, ConfigError, ExponentOverflowError) as exc:
             point["error"] = f"{type(exc).__name__}: {exc}"
+            rows.append(base + (point["error"], "", "", "false"))
             any_fail = True
+        else:
+            point["results"] = results(reports)
+            rows += [base + row for row in result_rows(reports)]
+            any_fail = any_fail or not reports[0].passed
         points.append(point)
     payload["points"] = points
-
-    header = ("p", "q", "alpha", "beta", "l", "label", "residual", "tol", "pass")
-    rows = []
-    for point in points:
-        base = tuple(repr(point.get(k)) for k in _PARAM_KEYS)
-        if "error" in point:
-            rows.append(base + (point["error"], "", "", "false"))
-        else:
-            for r in point["results"]:
-                rows.append(
-                    base
-                    + (r["label"], repr(r["residual"]), repr(r["tol"]), str(r["pass"]).lower())
-                )
-    return payload, (header, rows), (1 if any_fail else 0)
+    return (1 if any_fail else 0), (_PARAM_KEYS + RESULT_HEADER, rows)
 
 
 # ---------------------------------------------------------------------------
@@ -398,7 +372,7 @@ def run(argv: list[str]) -> int:
             payload["grid"] = {
                 k: list(v) for k, v in merged.items() if isinstance(v, tuple)
             }
-            payload, csv_rows, code = _cmd_sweep(merged, payload)
+            code, table = _cmd_sweep(merged, payload)
         else:
             cfg = build_config(values)
             payload["params"] = cfg.params.as_dict()
@@ -421,13 +395,14 @@ def run(argv: list[str]) -> int:
                 "hopf-solve": _cmd_hopf_solve,
                 "hopf-check": _cmd_hopf_check,
             }[args.command]
-            payload, csv_rows, code = handler(cfg, payload)
+            reports, table = handler(cfg, payload)
+            code = 0 if all(report.passed for report in reports) else 1
 
         if not args.no_timestamp:
             from datetime import datetime, timezone
 
             payload["timestamp"] = datetime.now(timezone.utc).isoformat()
-        _emit(payload, fmt, args.out, csv_rows)
+        _emit(payload, fmt, args.out, table)
         return code
     except (ConfigError, ParameterError, FockError, DimensionMismatchError,
             Beta1Beta2MismatchError, OSError) as exc:

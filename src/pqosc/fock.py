@@ -43,7 +43,7 @@ from .params import (
     NegativeWeightError,
     NotLowestWeightError,
 )
-from .report import CheckEntry, CheckReport
+from .report import CheckEntry, CheckReport, peak
 from .structure import bracket, checked_exp
 
 if TYPE_CHECKING:  # annotations only: the representation runs without numpy
@@ -59,17 +59,6 @@ def _shifted(w: tuple, off: int) -> tuple:
     if off >= 0:
         return w[off:] + (0.0,) * min(off, n)
     return (0.0,) * min(-off, n) + w[: max(n + off, 0)]
-
-
-def _peak(values) -> float:
-    """Largest |v|, 0.0 for no values; NaN if some v is NaN.
-
-    max alone may skip a NaN, and a residual with a NaN entry must fail.
-    The sum of the magnitudes is NaN exactly when some entry is.
-    """
-    mags = list(map(abs, values))
-    total = sum(mags)
-    return total if total != total else max(mags, default=0.0)
 
 
 def _exps(t: list) -> tuple:
@@ -173,7 +162,7 @@ def build(
 
     l = params.l
     weights = tuple([bracket(x0 + l * k, params) for k in range(dim + 1)])
-    scale = max(1.0, _peak(weights))
+    scale = max(1.0, peak(weights))
     if not (-_NEGATIVE_WEIGHT_TOL * scale <= weights[0] <= _LOWEST_WEIGHT_TOL * scale):
         raise NotLowestWeightError(
             f"w_0 = {weights[0]:.6g} != 0: level 0 is not annihilated "
@@ -240,10 +229,10 @@ def check_relations(rep: FockRep, mode: str = "grading", tol: float = 1e-10) -> 
     r_raise = [m * u - u * v - l * u for m, u, v in zip(n[1:] + (0.0,), ad, n)]
 
     entries = (
-        CheckEntry("aa+ - q^l a+a = P", _peak(r_q), tol),
-        CheckEntry("aa+ - p^-l a+a = Q", _peak(r_p), tol),
-        CheckEntry("[N, a] = -l a", _peak(r_lower), tol),
-        CheckEntry("[N, a+] = l a+", _peak(r_raise), tol),
+        CheckEntry("aa+ - q^l a+a = P", peak(r_q), tol),
+        CheckEntry("aa+ - p^-l a+a = Q", peak(r_p), tol),
+        CheckEntry("[N, a] = -l a", peak(r_lower), tol),
+        CheckEntry("[N, a+] = l a+", peak(r_raise), tol),
     )
     metadata = {
         "params": params.as_dict(),
@@ -251,7 +240,7 @@ def check_relations(rep: FockRep, mode: str = "grading", tol: float = 1e-10) -> 
         "mode": mode,
         "x0": rep.x0,
         "nu0": rep.nu0,
-        "maxweight": _peak(rep.weights),
+        "maxweight": peak(rep.weights),
     }
     return CheckReport("fock-relations", entries, metadata)
 

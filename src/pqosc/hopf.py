@@ -20,12 +20,13 @@ projector is a cut on the input levels, and no dense d^k x d^k matrix is
 built; coproduct_matrix densifies on request.  The one-site checks
 (counit and antipode) run on fock's own shifts, tuples of floats, with
 one loop over the levels per sum; only the two- and three-site outer
-products are numpy, on one array per symbol.
+products are numpy.
 """
 
 from __future__ import annotations
 
 import math
+from functools import cached_property
 from operator import add, sub
 from typing import Sequence
 
@@ -43,8 +44,8 @@ from .coefficients import (  # noqa: F401  (re-exported: the scalar half of the 
     validate_hopf,
 )
 from .params import require_nonzero_alpha
-from .report import CheckEntry, CheckReport
-from .fock import FockRep, Shift, _peak, dense_matrix
+from .report import CheckEntry, CheckReport, peak
+from .fock import FockRep, Shift, dense_matrix
 
 # ---------------------------------------------------------------------------
 # Tensor-product evaluation
@@ -94,7 +95,7 @@ def _one_site_residual(left: OneSite, right: OneSite) -> float:
     for key in dict.fromkeys([*left, *right]):
         lw, rw = left.get(key), right.get(key)
         diffs += rw if lw is None else lw if rw is None else map(sub, lw, rw)
-    return _peak(diffs)
+    return peak(diffs)
 
 
 def _matmul(x: Terms, y: Terms) -> Terms:
@@ -137,9 +138,10 @@ class _HopfEvaluator:
     grading diag(p^(-x_k/2)).  ops and sops hold fock.Shifts, whose
     weights are tuples of floats: the counit and antipode sum and
     multiply them level by level, one-site products through Shift.@.
-    The tensor kernel reads one numpy array per symbol from arrays.  A
-    tensor product of shifts is the outer product of their weights under
-    the tuple of their offsets.  Every product is formed as
+    sops is built on first use, so only the antipode check builds it.
+    The tensor kernel multiplies the weights as numpy arrays: a tensor
+    product of shifts is the outer product of their weights under the
+    tuple of their offsets.  Every product is formed as
     coef * (A * (B * C)), the order in which the dense Kronecker product
     multiplies, so the residuals equal those of the dense tensor-product
     matrices bit for bit.
@@ -147,28 +149,18 @@ class _HopfEvaluator:
 
     def __init__(self, rep: FockRep, hc: HopfCoefficients):
         require_nonzero_alpha(rep.params)
-        self.rep = rep
+        self.rep, self.hc = rep, hc
         p, q = rep.params.p, rep.params.q
         lp, lq = math.log(p), math.log(q)
-        xt = np.array(rep.x_lattice) / rep.params.alpha  # lattice carried by a bare N exponent
+        xt = self.xt = np.array(rep.x_lattice) / rep.params.alpha  # lattice of a bare N exponent
         diagonals = {
             "G1": np.exp(-hc.alpha1 * xt * lp),
             "H2": np.exp(hc.alpha2 * xt * lq),
             "G3": np.exp(-hc.alpha3 * xt * lp),
             "H4": np.exp(hc.alpha4 * xt * lq),
         }
-        twists = {
-            "G1": p ** (-hc.alpha1 * hc.c13) * np.exp(hc.alpha1 * hc.c12 * xt * lp),
-            "H2": q ** (hc.alpha2 * hc.c13) * np.exp(-hc.alpha2 * hc.c12 * xt * lq),
-            "G3": p ** (-hc.alpha3 * hc.c13) * np.exp(hc.alpha3 * hc.c12 * xt * lp),
-            "H4": q ** (hc.alpha4 * hc.c13) * np.exp(-hc.alpha4 * hc.c12 * xt * lq),
-        }
-        ladder = ("1", "a", "a+", "N")
-
-        self.ops = {s: rep.ops[s] for s in ladder}
+        self.ops = {s: rep.ops[s] for s in ("1", "a", "a+", "N")}
         self.ops.update((s, Shift(0, tuple(w.tolist()))) for s, w in diagonals.items())
-        self.arrays = {s: np.array(rep.ops[s].weights) for s in ladder}
-        self.arrays.update(diagonals)
 
         self.delta = {
             "1": [(1.0, ("1", "1"))],
@@ -192,26 +184,41 @@ class _HopfEvaluator:
             "H4": q ** (hc.alpha4 * hc.c9),
         }
 
-        # Antipode shifts.  The affine rule on N and the twist on the
-        # exponential factors use opposite signs of c12; the mutual-
-        # equality identity on the ladder generators and the exact
-        # 2*gamma closure gap on N both depend on this pairing.
-        one, a, ad, n_op = (rep.ops[s] for s in ladder)
+    @cached_property
+    def sops(self) -> dict:
+        """Antipode shifts.
+
+        The affine rule on N and the twist on the exponential factors use
+        opposite signs of c12; the mutual-equality identity on the ladder
+        generators and the exact 2*gamma closure gap on N both depend on
+        this pairing.
+        """
+        hc, xt = self.hc, self.xt
+        p, q = self.rep.params.p, self.rep.params.q
+        lp, lq = math.log(p), math.log(q)
+        twists = {
+            "G1": p ** (-hc.alpha1 * hc.c13) * np.exp(hc.alpha1 * hc.c12 * xt * lp),
+            "H2": q ** (hc.alpha2 * hc.c13) * np.exp(-hc.alpha2 * hc.c12 * xt * lq),
+            "G3": p ** (-hc.alpha3 * hc.c13) * np.exp(hc.alpha3 * hc.c12 * xt * lp),
+            "H4": q ** (hc.alpha4 * hc.c13) * np.exp(-hc.alpha4 * hc.c12 * xt * lq),
+        }
+        one, a, ad, n_op = (self.ops[s] for s in ("1", "a", "a+", "N"))
         neg_c10, neg_c11 = -hc.c10, -hc.c11
         s_n = [hc.c12 * n + hc.c13 * u for n, u in zip(n_op.weights, one.weights)]
-        self.sops = {
+        sops = {
             "1": one,
             "a": Shift(a.offset, tuple([neg_c11 * w for w in a.weights])),
             "a+": Shift(ad.offset, tuple([neg_c10 * w for w in ad.weights])),
             "N": Shift(0, tuple(s_n)),
         }
-        self.sops.update((s, Shift(0, tuple(w.tolist()))) for s, w in twists.items())
+        sops.update((s, Shift(0, tuple(w.tolist()))) for s, w in twists.items())
+        return sops
 
     def two_site(self, gen: str) -> Terms:
         out: Terms = {}
         for t, (s1, s2) in self.delta[gen]:
             key = (self.ops[s1].offset, self.ops[s2].offset)
-            _add(out, key, t * np.multiply.outer(self.arrays[s1], self.arrays[s2]))
+            _add(out, key, t * np.multiply.outer(self.ops[s1].weights, self.ops[s2].weights))
         return out
 
     def _three_site(self, gen: str, expand_slot: int, arrays: dict) -> Terms:
@@ -233,7 +240,7 @@ class _HopfEvaluator:
         products, so only the compared entries are formed.
         """
         keep = self.rep.dim - 2
-        inner = {s: w[:keep] for s, w in self.arrays.items()}
+        inner = {s: np.array(op.weights[:keep]) for s, op in self.ops.items()}
         left = self._three_site(gen, 2, inner)
         right = self._three_site(gen, 1, inner)
         return _compare(left, right)

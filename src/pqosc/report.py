@@ -1,5 +1,11 @@
 """Named-residual reports shared by all verification routines.
 
+This module is the one place that reduces, judges and serializes
+residuals: peak reduces a list of them (keeping NaN), CheckEntry judges
+one against its tolerance, and results and result_rows turn reports into
+the JSON result objects and the label,residual,tol,pass CSV rows that
+every command writes.
+
 Both types are namedtuples, not dataclasses, so that a cold CLI process
 does not import dataclasses (and with it inspect, ast and dis) to build
 them.
@@ -9,6 +15,19 @@ from __future__ import annotations
 
 import json
 from collections import namedtuple
+
+RESULT_HEADER = ("label", "residual", "tol", "pass")
+
+
+def peak(values) -> float:
+    """Largest |v|, 0.0 for no values; NaN if some v is NaN.
+
+    max alone may skip a NaN, and a residual with a NaN entry must fail.
+    The sum of the magnitudes is NaN exactly when some entry is.
+    """
+    mags = list(map(abs, values))
+    total = sum(mags)
+    return total if total != total else max(mags, default=0.0)
 
 
 class CheckEntry(namedtuple("CheckEntry", "label residual tol")):
@@ -38,7 +57,8 @@ class CheckReport(namedtuple("CheckReport", "check entries metadata")):
         return all(e.passed for e in self.entries)
 
     def max_residual(self) -> float:
-        return max((e.residual for e in self.entries), default=0.0)
+        """The peak residual: 0.0 for no entries, NaN if some residual is NaN."""
+        return peak(e.residual for e in self.entries)
 
     def entry(self, label: str) -> CheckEntry:
         for e in self.entries:
@@ -49,10 +69,7 @@ class CheckReport(namedtuple("CheckReport", "check entries metadata")):
     def to_dict(self) -> dict:
         return {
             "check": self.check,
-            "results": [
-                {"label": e.label, "residual": e.residual, "tol": e.tol, "pass": e.passed}
-                for e in self.entries
-            ],
+            "results": results((self,)),
             "metadata": self.metadata,
         }
 
@@ -78,3 +95,21 @@ class CheckReport(namedtuple("CheckReport", "check entries metadata")):
             status = "pass" if e.passed else "FAIL"
             out.append(f"{self.check}: {e.label}: residual={e.residual:.3e} tol={e.tol:.3e} {status}")
         return out
+
+
+def results(reports) -> list[dict]:
+    """The JSON result objects of the reports' entries, in order."""
+    return [
+        {"label": e.label, "residual": e.residual, "tol": e.tol, "pass": e.passed}
+        for report in reports
+        for e in report.entries
+    ]
+
+
+def result_rows(reports) -> list[tuple]:
+    """The CSV rows, under RESULT_HEADER, of the reports' entries, in order."""
+    return [
+        (e.label, repr(e.residual), repr(e.tol), str(e.passed).lower())
+        for report in reports
+        for e in report.entries
+    ]

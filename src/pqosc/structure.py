@@ -28,21 +28,11 @@ class ExponentOverflowError(ArithmeticError):
     """An exponential magnitude left the double-precision range."""
 
 
-def checked_exp(t):
-    """exp(t) for a float or an array of floats.
-
-    Raises ExponentOverflowError when some |t| exceeds EXP_LIMIT.  Only
-    the array case imports numpy, so scalar callers never load it.
-    """
-    if isinstance(t, (int, float)):
-        worst, exp = abs(t), math.exp
-    else:
-        import numpy as np
-
-        worst, exp = float(np.max(np.abs(t), initial=0.0)), np.exp
-    if worst > EXP_LIMIT:
-        raise ExponentOverflowError(f"exponent magnitude {worst:.3g} exceeds {EXP_LIMIT:g}")
-    return exp(t)
+def checked_exp(t: float) -> float:
+    """exp(t); raises ExponentOverflowError when |t| exceeds EXP_LIMIT."""
+    if abs(t) > EXP_LIMIT:
+        raise ExponentOverflowError(f"exponent magnitude {abs(t):.3g} exceeds {EXP_LIMIT:g}")
+    return math.exp(t)
 
 
 def bracket(x: float, params: DeformationParams) -> float:

@@ -286,3 +286,60 @@ def test_json_report_round_trip(capsys):
     assert code == 0
     payload = json.loads(out)
     assert json.loads(json.dumps(payload)) == payload
+
+
+def json_and_csv(capsys, argv):
+    """The exit code, the JSON payload and the CSV rows of one invocation, run both ways."""
+    code, out, _ = run_capture(capsys, argv + ["--no-timestamp"])
+    code_csv, out_csv, _ = run_capture(capsys, argv + ["--format", "csv"])
+    assert code == code_csv
+    return code, json.loads(out), list(csv.reader(io.StringIO(out_csv)))
+
+
+def result_rows(payload_results):
+    return [
+        [r["label"], repr(r["residual"]), repr(r["tol"]), str(r["pass"]).lower()]
+        for r in payload_results
+    ]
+
+
+@pytest.mark.parametrize("argv", [
+    ["rep-check", "--p", "2", "--q", "3"],
+    ["rep-check", "--p", "2", "--q", "3", "--alpha", "2", "--mode", "literal"],
+    ["calculus-check", "--p", "2", "--q", "3"],
+    ["hopf-solve", "--p", "2", "--q", "3", "--beta1", "0.7", "--beta2", "0.7"],
+    ["hopf-check", "--p", "2", "--q", "3", "--beta1", "0.7", "--beta2", "0.7", "--dim", "6"],
+    ["hopf-check", "--p", "0.5", "--q", "3", "--alpha", "2", "--beta1", "1", "--beta2", "0",
+     "--dim", "6"],
+], ids=["rep-check", "rep-check-literal", "calculus-check", "hopf-solve", "hopf-check",
+        "hopf-check-transport"])
+def test_csv_rows_match_json_results(capsys, argv):
+    code, payload, rows = json_and_csv(capsys, argv)
+    assert code == (0 if all(r["pass"] for r in payload["results"]) else 1)
+    coefficient_rows = []
+    if argv[0] == "hopf-solve":  # hopf-check writes its coefficients to JSON only
+        coefficient_rows = [
+            ["coefficient:" + k, repr(v), "", ""] for k, v in payload["coefficients"].items()
+        ]
+    header = ["label", "residual", "tol", "pass"]
+    assert rows == [header, *coefficient_rows, *result_rows(payload["results"])]
+
+
+def test_sweep_csv_rows_match_json_points(tmp_path, capsys):
+    cfg = tmp_path / "grid.cfg"
+    cfg.write_text("p = 2\nq = 0.5, 3\nalpha = 1, 2\nmode = literal\ndim = 6\n")
+    code, payload, rows = json_and_csv(capsys, ["sweep", "--config", str(cfg)])
+    assert code == 1
+    keys = ("p", "q", "alpha", "beta", "l")
+    expected = []
+    for point in payload["points"]:
+        base = [repr(point[k]) for k in keys]
+        if "error" in point:
+            expected.append(base + [point["error"], "", "", "false"])
+        else:
+            expected += [base + row for row in result_rows(point["results"])]
+    assert rows[0] == [*keys, "label", "residual", "tol", "pass"]
+    assert rows[1:] == expected
+    errors = [row for row in rows[1:] if row[6:] == ["", "", "false"]]
+    assert len(errors) == 2 and all("DegenerateDenominator" in row[5] for row in errors)
+    assert {row[8] for row in rows[1:]} == {"true", "false"}

@@ -183,6 +183,7 @@ def test_nan_weight_fails_the_tensor_checks(rep8, solved, symbol):
         check_antipode(hc, bad),
     ):
         assert not report.passed
+        assert math.isnan(report.max_residual())
         for label in labels[report.check]:
             assert np.isnan(report.entry(label).residual)
 

@@ -1,4 +1,5 @@
 import json
+import math
 
 import pytest
 
@@ -20,6 +21,14 @@ def test_report_aggregates():
     assert report.passed
     assert report.max_residual() == 5e-11
     assert report.entry("two").residual == 5e-11
+
+
+def test_max_residual_keeps_a_nan_anywhere():
+    nan = float("nan")
+    report = CheckReport("demo", (CheckEntry("one", 1e-12, 1e-10), CheckEntry("two", nan, 1e-10)))
+    assert not report.passed
+    assert math.isnan(report.max_residual())
+    assert CheckReport("demo", ()).max_residual() == 0.0
 
 
 def test_json_round_trip():

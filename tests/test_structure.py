@@ -1,6 +1,5 @@
 import math
 
-import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -146,10 +145,7 @@ def test_overflow_guard_is_the_four_exponents(p, q, l):
 def test_checked_exp_scalar_and_array():
     assert checked_exp(700.0) == math.exp(700.0)
     assert type(checked_exp(-1.5)) is float
-    t = np.array([-700.0, 0.0, 2.5, 700.0])
-    assert np.array_equal(checked_exp(t), np.exp(t))
-    assert checked_exp(np.array([])).size == 0
-    for bad in (math.nextafter(700.0, math.inf), -701.0, np.array([0.0, -700.5])):
+    for bad in (math.nextafter(700.0, math.inf), -701.0):
         with pytest.raises(ExponentOverflowError):
             checked_exp(bad)
 
