@@ -30,6 +30,7 @@ _EXPORTS = {
     ),
     "structure": (
         "bracket",
+        "brackets",
         "f_general",
         "checked_exp",
         "pq_sum_oracle",

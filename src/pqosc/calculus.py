@@ -17,7 +17,10 @@ q**(alpha*N + beta) being (ratio=q**alpha, prefactor=q**beta).  The
 series operators apply a map term by term and normalize once.  Under
 this dilation reading all four defining relations close identically for
 every alpha != 0, which check_realization verifies by applying the maps
-to each monomial z**e.
+to each monomial z**e.  One normalizer (sort, merge near-equal
+exponents, prune tiny coefficients) serves both: ExpSeries holds its
+result, and check_realization compares each side of a relation as a
+plain tuple of (e, c) pairs, without building a series.
 """
 
 from __future__ import annotations
@@ -34,6 +37,33 @@ from .structure import checked_exp, f_general
 EXPONENT_TOL = 1e-12
 COEFF_PRUNE = 1e-300
 MAX_TERMS = 10000
+
+
+def _normalize(pairs: Iterable[tuple[float, float]]) -> tuple[tuple[float, float], ...]:
+    """Float (exponent, coefficient) pairs sorted, near-equal exponents merged, tiny terms pruned.
+
+    The one normal form of a term list: ExpSeries holds it, and
+    check_realization compares the sides of each relation in it.
+    """
+    kept = []
+    e0 = c0 = None  # the group being merged: its first exponent, its summed coefficient
+    for e, c in sorted(pairs):
+        if c0 is not None:
+            if abs(e - e0) <= EXPONENT_TOL * (1.0 + abs(e)):
+                c0 += c
+                continue
+            if abs(c0) >= COEFF_PRUNE:
+                kept.append((e0, c0))
+        e0, c0 = e, c
+    if c0 is not None and abs(c0) >= COEFF_PRUNE:
+        kept.append((e0, c0))
+    if len(kept) > MAX_TERMS:
+        raise ValueError(f"series has {len(kept)} terms, limit is {MAX_TERMS}")
+    return tuple(kept)
+
+
+def _max_abs_coeff(terms: Sequence[tuple[float, float]]) -> float:
+    return max([abs(c) for _, c in terms], default=0.0)
 
 
 class ExpSeries:
@@ -68,18 +98,8 @@ class ExpSeries:
 
     @staticmethod
     def from_terms(pairs: Iterable[tuple[float, float]]) -> "ExpSeries":
-        """Normalize: sort, merge near-equal exponents, prune tiny terms."""
-        items = sorted((float(e), float(c)) for e, c in pairs)
-        merged: list[list[float]] = []
-        for e, c in items:
-            if merged and abs(e - merged[-1][0]) <= EXPONENT_TOL * (1.0 + abs(e)):
-                merged[-1][1] += c
-            else:
-                merged.append([e, c])
-        kept = tuple((e, c) for e, c in merged if abs(c) >= COEFF_PRUNE)
-        if len(kept) > MAX_TERMS:
-            raise ValueError(f"series has {len(kept)} terms, limit is {MAX_TERMS}")
-        return ExpSeries(kept)
+        """The series of the pairs, as floats, normalized."""
+        return ExpSeries(_normalize([(float(e), float(c)) for e, c in pairs]))
 
     @staticmethod
     def monomial(exponent: float, coefficient: float = 1.0) -> "ExpSeries":
@@ -99,7 +119,7 @@ class ExpSeries:
         return ExpSeries.from_terms((e, scalar * c) for e, c in self.terms)
 
     def max_abs_coeff(self) -> float:
-        return max((abs(c) for _, c in self.terms), default=0.0)
+        return _max_abs_coeff(self.terms)
 
     def coefficient(self, exponent: float) -> float:
         for e, c in self.terms:
@@ -174,13 +194,15 @@ def check_realization(
 ) -> CheckReport:
     """Verify the defining relations on each monomial z**e.
 
-    The term maps act on z**e directly.  Each side of a relation is
-    normalized as the series operators would normalize it, so near-equal
-    exponents merge and images on different exponents stay apart.
-    Residuals are scaled by the largest coefficient participating in the
-    identity, so the reported numbers are relative to the natural size
-    of the terms being cancelled.  Raises ValueError when `exponents` is
-    empty, where no relation would be compared.
+    The term maps act on z**e directly, and f_general is evaluated once
+    at e and once at e + l/alpha: a N z**e is alpha*e times a z**e.  Each
+    side of a relation is a plain term list, normalized as the series
+    operators normalize, so near-equal exponents merge and images on
+    different exponents stay apart.  Residuals are scaled by the largest
+    coefficient participating in the identity, so the reported numbers
+    are relative to the natural size of the terms being cancelled.
+    Raises ValueError when `exponents` is empty, where no relation would
+    be compared.
     """
     if len(exponents) == 0:
         raise ValueError("exponents must be nonempty")
@@ -192,9 +214,9 @@ def check_realization(
     p_op = dilation_map(p ** (-alpha), p ** (-beta))
     q_op = dilation_map(q ** alpha, q ** beta)
 
-    def minus(lhs: ExpSeries, e: float, c: float) -> float:
+    def minus(lhs: tuple, e: float, c: float) -> float:
         """Largest |coefficient| of lhs - c z**e."""
-        return ExpSeries.from_terms(lhs.terms + ((e, -c),)).max_abs_coeff()
+        return _max_abs_coeff(_normalize(lhs + ((e, -c),)))
 
     worst = {
         "[N, a+] = l a+": 0.0,
@@ -208,28 +230,29 @@ def check_realization(
         aa, a_a = a(*up), a_dag(*down)
 
         n_up, up_n = n_op(*up), a_dag(*n_m)
-        lhs1 = ExpSeries.from_terms((n_up, (up_n[0], -up_n[1])))
-        scale1 = 1.0 + max(lhs1.max_abs_coeff(), abs(l) * abs(up[1]))
+        lhs1 = _normalize((n_up, (up_n[0], -up_n[1])))
+        scale1 = 1.0 + max(_max_abs_coeff(lhs1), abs(l) * abs(up[1]))
         worst["[N, a+] = l a+"] = max(
             worst["[N, a+] = l a+"], minus(lhs1, up[0], l * up[1]) / scale1
         )
 
-        n_down, down_n = n_op(*down), a(*n_m)
-        lhs2 = ExpSeries.from_terms((n_down, (down_n[0], -down_n[1])))
-        scale2 = 1.0 + max(lhs2.max_abs_coeff(), abs(l) * abs(down[1]))
+        # a(*n_m) by linearity: down's coefficient is f_general(e) itself
+        n_down, down_n = n_op(*down), (down[0], n_m[1] * down[1])
+        lhs2 = _normalize((n_down, (down_n[0], -down_n[1])))
+        scale2 = 1.0 + max(_max_abs_coeff(lhs2), abs(l) * abs(down[1]))
         worst["[N, a] = -l a"] = max(
             worst["[N, a] = -l a"], minus(lhs2, down[0], -(l * down[1])) / scale2
         )
 
         rhs_p = p_op(*m)
-        lhs3 = ExpSeries.from_terms((aa, (a_a[0], -(ql * a_a[1]))))
+        lhs3 = _normalize((aa, (a_a[0], -(ql * a_a[1]))))
         scale3 = 1.0 + max(abs(aa[1]), ql * abs(a_a[1]), abs(rhs_p[1]))
         worst["aa+ - q^l a+a = P"] = max(
             worst["aa+ - q^l a+a = P"], minus(lhs3, *rhs_p) / scale3
         )
 
         rhs_q = q_op(*m)
-        lhs4 = ExpSeries.from_terms((aa, (a_a[0], -(pl * a_a[1]))))
+        lhs4 = _normalize((aa, (a_a[0], -(pl * a_a[1]))))
         scale4 = 1.0 + max(abs(aa[1]), pl * abs(a_a[1]), abs(rhs_q[1]))
         worst["aa+ - p^-l a+a = Q"] = max(
             worst["aa+ - p^-l a+a = Q"], minus(lhs4, *rhs_q) / scale4

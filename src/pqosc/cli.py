@@ -54,7 +54,7 @@ from .params import (
     validate,
 )
 from .report import RESULT_HEADER, CheckEntry, CheckReport, peak, result_rows, results
-from .structure import ExponentOverflowError, f_general
+from .structure import ExponentOverflowError, brackets
 
 _PARAM_KEYS = ("p", "q", "alpha", "beta", "l")
 _FLOAT_KEYS = _PARAM_KEYS + ("beta1", "beta2", "tol")
@@ -186,7 +186,9 @@ def _emit(payload: dict, cfg_fmt: str, out_path: str | None, table) -> None:
 
 
 def _cmd_numbers(cfg: Config, payload: dict):
-    table = [{"n": n, "f": f_general(n, cfg.params)} for n in range(cfg.n_max + 1)]
+    params = cfg.params
+    xs = [params.alpha * n + params.beta for n in range(cfg.n_max + 1)]
+    table = [{"n": n, "f": f} for n, f in enumerate(brackets(xs, params))]
     payload["table"] = table
     return (), (("n", "f"), [(row["n"], repr(row["f"])) for row in table])
 

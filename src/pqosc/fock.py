@@ -44,7 +44,7 @@ from .params import (
     NotLowestWeightError,
 )
 from .report import CheckEntry, CheckReport, peak
-from .structure import bracket, checked_exp
+from .structure import brackets, checked_exp
 
 if TYPE_CHECKING:  # annotations only: the representation runs without numpy
     import numpy as np
@@ -161,7 +161,8 @@ def build(
     nu0 = float(nu0)
 
     l = params.l
-    weights = tuple([bracket(x0 + l * k, params) for k in range(dim + 1)])
+    x = [x0 + l * k for k in range(dim + 1)]
+    weights = tuple(brackets(x, params))
     scale = max(1.0, peak(weights))
     if not (-_NEGATIVE_WEIGHT_TOL * scale <= weights[0] <= _LOWEST_WEIGHT_TOL * scale):
         raise NotLowestWeightError(
@@ -175,7 +176,7 @@ def build(
     lower = (0.0,) + tuple([math.sqrt(max(w, 0.0)) for w in weights[1:dim]])
     lp = math.log(params.p)
     lq = math.log(params.q)
-    x = [x0 + l * k for k in range(dim)]
+    x.pop()  # P and Q sit on levels 0 .. dim-1
     ops = {
         "1": Shift(0, (1.0,) * dim),
         "a": Shift(-1, lower),
@@ -254,8 +255,10 @@ def apply_word(rep: FockRep, word: Sequence[str], state: Sequence[float]) -> lis
     if len(word) == 0:
         raise ValueError("word must be nonempty")
     shape = getattr(state, "shape", None)  # an array's; a sequence must hold numbers
-    if shape is not None and len(shape) != 1:
-        raise DimensionMismatchError(f"state has shape {tuple(shape)}, expected ({rep.dim},)")
+    if shape is not None:
+        if len(shape) != 1:
+            raise DimensionMismatchError(f"state has shape {tuple(shape)}, expected ({rep.dim},)")
+        state = state.tolist()  # Python numbers in one call, not one float() per array scalar
     try:
         vec = tuple(map(float, state))
     except TypeError:  # not a sequence, or one of sequences

@@ -14,6 +14,14 @@ bracket(x + l) = p**(-x) + q**l * bracket(x)
 All three forms, and the invariance under p -> 1/q, q -> 1/p, are
 verified numerically here; the truncated matrix representation provides
 the independent cross-check through its diagonal Hamiltonian.
+
+lambda_n and lambda_forms evaluate one level.  spectrum_table and
+check_pq_inversion evaluate all levels 0..n_max at once: the brackets
+at x_n and x_n + l form one lattice for structure.brackets, in the
+order the per-level loop takes them, so every value, and the error a
+level that leaves the double range raises, is the per-level loop's.
+Their reductions keep NaN (report.peak), so a level that overflows
+fails instead of dropping out of the maximum.
 """
 
 from __future__ import annotations
@@ -22,8 +30,8 @@ from collections import namedtuple
 from typing import TYPE_CHECKING
 
 from .params import DeformationParams, dual
-from .report import CheckEntry, CheckReport
-from .structure import bracket
+from .report import CheckEntry, CheckReport, peak
+from .structure import bracket, brackets
 
 if TYPE_CHECKING:  # annotations only
     from .fock import FockRep
@@ -54,24 +62,47 @@ class SpectrumTable(namedtuple("SpectrumTable", "params rows")):
     __slots__ = ()
 
     def max_form_spread(self) -> float:
-        spread = 0.0
+        """Largest |main - form| / (1 + |main|); NaN if some level is NaN."""
+        spreads = []
         for _, main, fq, fp in self.rows:
             scale = 1.0 + abs(main)
-            spread = max(spread, abs(main - fq) / scale, abs(main - fp) / scale)
-        return spread
+            spreads += (abs(main - fq) / scale, abs(main - fp) / scale)
+        return peak(spreads)
+
+
+def _level_brackets(params: DeformationParams, n_max: int) -> tuple[list, list]:
+    """The x_n = alpha*n + beta of levels 0..n_max and their bracket(x_n), bracket(x_n + l).
+
+    One lattice in the order the per-level loop evaluates them, x_n before
+    x_n + l, so a failing level raises what lambda_n at that level raises.
+    """
+    alpha, beta, l = params.alpha, params.beta, params.l
+    xs = [alpha * n + beta for n in range(n_max + 1)]
+    w = brackets([t for x in xs for t in (x, x + l)], params)
+    return xs, w
 
 
 def spectrum_table(params: DeformationParams, n_max: int) -> SpectrumTable:
+    """The rows of lambda_forms(n) for n = 0..n_max, from one bracket lattice.
+
+    Raises ArithmeticError when the three forms disagree by more than
+    1e-11, or a level is NaN: the evaluation left its reliable range.
+    """
     if n_max < 0:
         raise ValueError(f"n_max must be nonnegative, got {n_max}")
-    rows = []
-    for n in range(n_max + 1):
-        main, fq, fp = lambda_forms(n, params)
-        rows.append((n, main, fq, fp))
-    table = SpectrumTable(params, tuple(rows))
-    if table.max_form_spread() > 1e-11:
+    xs, w = _level_brackets(params, n_max)
+    p, q, l = params.p, params.q, params.l
+    ql1 = q ** l + 1.0
+    pl1 = p ** (-l) + 1.0
+    rows = tuple([
+        (n, wn + wu, p ** (-x) + ql1 * wn, q ** x + pl1 * wn)
+        for n, x, wn, wu in zip(range(n_max + 1), xs, w[0::2], w[1::2])
+    ])
+    table = SpectrumTable(params, rows)
+    spread = table.max_form_spread()
+    if not (spread <= 1e-11):
         raise ArithmeticError(
-            f"closed-form spread {table.max_form_spread():.3e} exceeds 1e-11; "
+            f"closed-form spread {spread:.3e} exceeds 1e-11; "
             "the evaluation left its reliable range"
         )
     return table
@@ -99,11 +130,18 @@ def check_pq_inversion(params: DeformationParams, n_max: int, tol: float = 1e-11
     if n_max < 0:
         raise ValueError(f"n_max must be nonnegative, got {n_max}")
     other = dual(params)
-    worst = 0.0
-    for n in range(n_max + 1):
-        lam = lambda_n(n, params)
-        lam_dual = lambda_n(n, other)
-        worst = max(worst, abs(lam - lam_dual) / (1.0 + abs(lam)))
+    try:
+        _, w = _level_brackets(params, n_max)
+        _, w_dual = _level_brackets(other, n_max)
+    except ArithmeticError:
+        # Raise what the per-level loop raises first: params, then dual, at each level.
+        for n in range(n_max + 1):
+            lambda_n(n, params)
+            lambda_n(n, other)
+        raise
+    lam = [a + b for a, b in zip(w[0::2], w[1::2])]
+    lam_dual = [a + b for a, b in zip(w_dual[0::2], w_dual[1::2])]
+    worst = peak([abs(a - b) / (1.0 + abs(a)) for a, b in zip(lam, lam_dual)])
     entries = (CheckEntry("pq-inversion", worst, tol),)
     metadata = {"params": params.as_dict(), "n_max": n_max, "scaling": "1 + |lambda_n|"}
     return CheckReport("spectrum-duality", entries, metadata)

@@ -4,7 +4,12 @@ The central object is the two-base bracket
 
     bracket(x) = (p**(-x) - q**x) / (p**(-l) - q**l),
 
-an analytic function of a real argument x.  The general five-parameter
+an analytic function of a real argument x.  bracket evaluates one
+point and raises ExponentOverflowError where an exponent, or the value
+itself, leaves the double range.  brackets evaluates a whole lattice of
+points, bit for bit as bracket would, with the exponent guard checked
+once for the lattice; the ladder weights, the spectrum levels and the
+CLI's numbers table come from it.  The general five-parameter
 structure function is f(n) = bracket(alpha*n + beta).  The classical
 schemes that are this function at fixed parameters (Arik-Coon, the
 symmetric q-bracket and its generalized form, the plain two-base
@@ -17,6 +22,7 @@ finite-sum oracle for the test suite closes the module.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 
 from .params import DeformationParams, validate
 
@@ -46,8 +52,10 @@ def bracket(x: float, params: DeformationParams) -> float:
     ExponentOverflowError when one of p**(-x), q**x, p**(-l), q**l has an
     exponent beyond EXP_LIMIT.  Where the exponential factor or a partial
     product leaves the double range although the bracket need not, the
-    same formula is evaluated in logarithms.  The parts that do not depend
-    on x come from params.bracket_constants, computed once per instance.
+    same formula is evaluated in logarithms; where the bracket itself
+    leaves it, ExponentOverflowError is raised too.  The parts that do not
+    depend on x come from params.bracket_constants, computed once per
+    instance.
     """
     ln_q_over_p, half_ln_pq, den, al, worst_ln = params.bracket_constants
     ax = abs(x)
@@ -63,11 +71,47 @@ def bracket(x: float, params: DeformationParams) -> float:
     num = math.sinh(x * half_ln_pq)
     if num == 0.0:
         return 0.0
+    t = h + math.log(abs(num)) - math.log(abs(den))
     try:
-        magnitude = math.exp(h + math.log(abs(num)) - math.log(abs(den)))
+        magnitude = math.exp(t)
     except OverflowError:
-        magnitude = math.inf
+        raise ExponentOverflowError(
+            f"bracket({x:.6g}) = exp({t:.6g}) exceeds the double range"
+        ) from None
     return math.copysign(magnitude, num) * math.copysign(1.0, den)
+
+
+def brackets(xs: Sequence[float], params: DeformationParams) -> list:
+    """[bracket(x, params) for x in xs], bit for bit, evaluated as one lattice.
+
+    The exponent guard is checked once: for the largest |x|, and for the
+    range of the exponent h, which is monotone in x, at the smallest and
+    the largest x.  Each value is then formed with bracket's own
+    expression; an entry that comes out non-finite goes through bracket.
+    Where the guard fails anywhere, every entry goes through bracket in
+    order, so the first failing x raises what the loop would raise.
+    """
+    if not xs:
+        return []
+    ln_q_over_p, half_ln_pq, den, al, worst_ln = params.bracket_constants
+    l = params.l
+    lo, hi = min(xs), max(xs)
+    ax = -lo if -lo > hi else hi
+    worst = (ax if ax > al else al) * worst_ln
+    h_lo = 0.5 * (lo - l) * ln_q_over_p
+    h_hi = 0.5 * (hi - l) * ln_q_over_p
+    # Written so that a NaN bound takes the scalar loop.
+    if not (
+        worst <= EXP_LIMIT
+        and -EXP_LIMIT <= h_lo <= EXP_LIMIT
+        and -EXP_LIMIT <= h_hi <= EXP_LIMIT
+    ):
+        return [bracket(x, params) for x in xs]
+    exp, sinh = math.exp, math.sinh
+    values = [exp(0.5 * (x - l) * ln_q_over_p) * sinh(x * half_ln_pq) / den for x in xs]
+    if not math.isfinite(sum(values)):  # some entry is not finite, or the sum overflowed
+        values = [v if v - v == 0.0 else bracket(x, params) for x, v in zip(xs, values)]
+    return values
 
 
 def f_general(n: float, params: DeformationParams) -> float:

@@ -11,7 +11,7 @@ from decimal import Decimal, localcontext
 
 import pytest
 
-from pqosc import bracket, check_realization, check_relations, spectrum_table, validate
+from pqosc import bracket, brackets, check_realization, check_relations, spectrum_table, validate
 from pqosc.fock import build
 
 # |pq - 1| from 1e-2 down to 1e-12; validate rejects 1 - 1e-12 (|ln pq| < 1e-12).
@@ -44,20 +44,73 @@ def test_bracket_near_singular_surface(p, delta):
     assert worst <= 1e-14
 
 
-@pytest.mark.parametrize(
-    "p, q, l, x",
-    [
-        # exp((x - l)(ln q - ln p)/2) alone exceeds the double range
-        (math.exp(-0.5), math.e, -700.0, 350.0),
-        # exp(...) * sinh(x L/2) exceeds it before the division brings it back
-        (math.exp(300.0), math.exp(700.0), -0.5, 1.0),
-        # exp(...) is subnormal
-        (math.e, math.exp(-0.6), -200.0, 700.0),
-    ],
-)
+FACTOR_CASES = [
+    # exp((x - l)(ln q - ln p)/2) alone exceeds the double range
+    (math.exp(-0.5), math.e, -700.0, 350.0),
+    # exp(...) * sinh(x L/2) exceeds it before the division brings it back
+    (math.exp(300.0), math.exp(700.0), -0.5, 1.0),
+    # exp(...) is subnormal
+    (math.e, math.exp(-0.6), -200.0, 700.0),
+]
+
+
+@pytest.mark.parametrize("p, q, l, x", FACTOR_CASES)
 def test_bracket_where_its_factors_leave_the_double_range(p, q, l, x):
     params = validate(p, q, 1.0, 0.0, l)
     assert relative_error(bracket(x, params), reference_bracket(x, p, q, l)) <= 1e-13
+
+
+def outcome(fn):
+    """The exact bits of fn()'s values, or the type and message of what it raised."""
+    try:
+        return [v.hex() for v in fn()]
+    except ArithmeticError as exc:
+        return type(exc).__name__, str(exc)
+
+
+def same_as_scalar(xs, params) -> bool:
+    return outcome(lambda: brackets(xs, params)) == outcome(
+        lambda: [bracket(x, params) for x in xs]
+    )
+
+
+@pytest.mark.parametrize("p", [2.0, 0.5])
+def test_brackets_is_bracket_near_the_singular_surface(p):
+    for delta in DELTAS:
+        params = validate(p, (1.0 + delta) / p, 1.0, 0.0, 1.0)
+        assert same_as_scalar(XS, params), delta
+
+
+@pytest.mark.parametrize("p, q, l, x", FACTOR_CASES)
+def test_brackets_is_bracket_where_its_factors_leave_the_double_range(p, q, l, x):
+    params = validate(p, q, 1.0, 0.0, l)
+    for xs in ([x], [x - 1.0, x, x + 0.5], [0.0, 1.0, x]):
+        assert same_as_scalar(xs, params), xs
+
+
+@pytest.mark.parametrize(
+    "point, xs",
+    [
+        # 637 ln 3 = 699.8 passes the guard and 638 ln 3 = 700.9 does not
+        ((2.0, 3.0, 1.0), [float(n) for n in range(638)]),
+        ((2.0, 3.0, 1.0), [float(n) for n in range(701)]),
+        ((2.0, 3.0, 1.0), [-0.5 * n for n in range(1400)]),
+        ((2.0, 3.0, 1.0), [700.0, 0.0]),
+        # inside the guard, but the values from x = -457 down exceed the double range
+        ((3.0, 0.5, 300.0), [-440.0 - 5.0 * n for n in range(8)]),
+        ((2.0, 0.5000000005, 0.01), [-1000.0 - 0.5 * n for n in range(20)]),
+        # a NaN entry goes through bracket; a leading NaN takes the scalar loop
+        ((2.0, 3.0, 1.0), [1.0, math.nan, 2.0]),
+        ((2.0, 3.0, 1.0), [math.nan, 1.0, 800.0]),
+        ((2.0, 3.0, 1.0), []),
+    ],
+    ids=["below-edge", "across-edge", "negative-across-edge", "edge-first", "value-overflow",
+         "value-overflow-near-singular", "nan", "leading-nan", "empty"],
+)
+def test_brackets_is_bracket_across_the_guard(point, xs):
+    """Bit for bit, and where the loop raises, the same error with the same message."""
+    p, q, l = point
+    assert same_as_scalar(xs, validate(p, q, 1.0, 0.0, l))
 
 
 def test_checks_pass_next_to_the_singular_surface():

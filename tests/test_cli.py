@@ -60,6 +60,26 @@ def test_numbers_overflow_boundary_exit_three(capsys):
     assert "ExponentOverflowError" in err
 
 
+BRACKET_OVERFLOW = "ExponentOverflowError: bracket(-1009) = exp(710.914) exceeds the double range"
+
+
+@pytest.mark.parametrize("command, beta, err", [
+    # bracket(-1009) is about -exp(710.9): past the double range
+    ("numbers", "-1009", BRACKET_OVERFLOW),
+    ("spectrum", "-1009", BRACKET_OVERFLOW),
+    # both brackets of level 0 are finite, their sum lambda_0 is not
+    ("spectrum", "-1007.36", "ArithmeticError: closed-form spread nan exceeds 1e-11"),
+], ids=["numbers", "spectrum", "spectrum-sum"])
+def test_infinite_levels_exit_three(capsys, command, beta, err):
+    code, out, got = run_capture(capsys, [
+        command, "--p", "2", "--q", "0.5000000005", "--l", "0.01", "--beta", beta,
+        "--n-max", "1", "--no-timestamp",
+    ])
+    assert code == 3
+    assert out == ""
+    assert got.startswith("error: " + err)
+
+
 def test_rep_check_literal_alpha_two_fails(capsys):
     code, out, _ = run_capture(
         capsys,

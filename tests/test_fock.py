@@ -107,6 +107,20 @@ def test_weights_dual_invariant():
         assert np.all(np.abs(diff) <= 1e-12 * (1 + np.abs(rep.weights)))
 
 
+@pytest.mark.parametrize("point, x0", [
+    ((2.0, 3.0, 1.0, 0.0, 1.0), None),
+    ((0.5, 3.0, 2.0, 0.3, 0.5), 0.0),
+    ((1.5, 0.9, 0.5, -2.0, 2.0), 0.0),
+    ((2.0, (1.0 + 1e-11) / 2.0, 1.0, 0.0, 1.0), None),
+])
+def test_weights_are_the_scalar_bracket_bit_for_bit(point, x0):
+    params = validate(*point)
+    rep = build(params, 40, x0)
+    start = params.beta if x0 is None else x0
+    want = [bracket(start + params.l * k, params) for k in range(41)]
+    assert [w.hex() for w in rep.weights] == [w.hex() for w in want]
+
+
 def test_apply_word(base_params):
     rep = build(base_params, dim=6)
     ground = np.zeros(6)

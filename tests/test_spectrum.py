@@ -1,7 +1,10 @@
+import math
+
 import numpy as np
 import pytest
 
 from pqosc import (
+    SpectrumTable,
     check_pq_inversion,
     dual,
     hamiltonian_eigs,
@@ -120,3 +123,71 @@ def test_negative_levels_admitted(base_params):
     main, fq, fp = lambda_forms(-3, base_params)
     assert main == pytest.approx(fq, rel=1e-12)
     assert main == pytest.approx(fp, rel=1e-12)
+
+
+# (p, q, alpha, beta, l): the fixture, alpha != l, negative alpha, beta != 0,
+# and a point next to the singular surface
+LATTICE_POINTS = [
+    (2.0, 3.0, 1.0, 0.0, 1.0),
+    (0.5, 3.0, 2.0, 0.3, 0.5),
+    (0.7, 1.9, -1.5, 0.3, 0.5),
+    (1.5, 0.9, 0.5, -2.0, 2.0),
+    (2.0, (1.0 + 1e-11) / 2.0, 1.0, 0.0, 1.0),
+]
+
+
+def outcome(fn):
+    """repr of fn(), or the type and message of the ArithmeticError it raised."""
+    try:
+        return repr(fn())
+    except ArithmeticError as exc:
+        return type(exc).__name__, str(exc)
+
+
+def per_level_inversion(params, n_max):
+    """check_pq_inversion's residual as a loop of lambda_n over the levels."""
+    other = dual(params)
+    worst = 0.0
+    for n in range(n_max + 1):
+        lam = lambda_n(n, params)
+        worst = max(worst, abs(lam - lambda_n(n, other)) / (1.0 + abs(lam)))
+    return worst
+
+
+@pytest.mark.parametrize("point", LATTICE_POINTS)
+def test_lattice_spectrum_equals_the_per_level_forms(point):
+    params = validate(*point)
+    table = spectrum_table(params, 60)
+    assert repr(table.rows) == repr(tuple((n, *lambda_forms(n, params)) for n in range(61)))
+    got = check_pq_inversion(params, 60).entries[0].residual
+    assert repr(got) == repr(per_level_inversion(params, 60))
+
+
+@pytest.mark.parametrize("point", [
+    (2.0, 3.0, 1.0, 0.0, 1.0),
+    (2.0, 3.0, 1.3, 0.2, 0.7),
+    (3.0, 2.0, -0.6, 0.0, 1.1),
+    (3.0, 0.5, 1.0, 0.0, 300.0),
+    (2.0, 0.5000000005, -1.0, -1000.0, 0.01),  # a value leaves the double range first
+])
+@pytest.mark.parametrize("n_max", [300, 700])
+def test_lattice_spectrum_raises_what_the_per_level_loop_raises(point, n_max):
+    params = validate(*point)
+    assert outcome(lambda: spectrum_table(params, n_max).rows) == outcome(
+        lambda: tuple((n, *lambda_forms(n, params)) for n in range(n_max + 1))
+    )
+    assert outcome(lambda: check_pq_inversion(params, n_max).entries[0].residual) == outcome(
+        lambda: per_level_inversion(params, n_max)
+    )
+
+
+def test_a_level_that_overflows_fails():
+    # bracket(x) and bracket(x + l) are finite, their sum lambda_0 is -inf
+    params = validate(2.0, 0.5000000005, 1.0, -1007.36, 0.01)
+    report = check_pq_inversion(params, 0)
+    assert math.isnan(report.entries[0].residual)
+    assert not report.passed
+    with pytest.raises(ArithmeticError, match="spread nan"):
+        spectrum_table(params, 0)
+    table = SpectrumTable(params, ((0, -math.inf, -math.inf, -math.inf),))
+    assert math.isnan(table.max_form_spread())

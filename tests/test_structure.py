@@ -1,4 +1,6 @@
 import math
+import sys
+from decimal import Decimal, localcontext
 
 import pytest
 from hypothesis import given, strategies as st
@@ -129,17 +131,31 @@ def test_overflow_reported(base_params):
 # At l = 2000, sinh(l L/2) itself overflows for three of the base pairs.
 @pytest.mark.parametrize("l", [1.0, -2.0, 300.0, 2000.0])
 def test_overflow_guard_is_the_four_exponents(p, q, l):
-    """bracket raises exactly when one of p**-x, q**x, p**-l, q**l has |exponent| > 700."""
+    """bracket's guard raises exactly when one of p**-x, q**x, p**-l, q**l has
+    |exponent| > 700; inside the guard it raises only where the bracket's own
+    value leaves the double range, and returns a finite value elsewhere."""
     lp, lq = math.log(p), math.log(q)
     params = validate(p, q, 1.0, 0.0, l)
     edge = 700.0 / max(abs(lp), abs(lq))
     for x in (0.0, 1.5, edge, -edge, math.nextafter(edge, math.inf), 2 * edge, -2 * edge):
         exponents = (-x * lp, x * lq, -l * lp, l * lq)
         if max(abs(t) for t in exponents) > 700.0:
-            with pytest.raises(ExponentOverflowError):
+            with pytest.raises(ExponentOverflowError, match="exponent magnitude"):
+                bracket(x, params)
+        elif exact_magnitude(x, p, q, l) > Decimal(sys.float_info.max):
+            with pytest.raises(ExponentOverflowError, match="double range"):
                 bracket(x, params)
         else:
-            bracket(x, params)
+            assert math.isfinite(bracket(x, params))
+
+
+def exact_magnitude(x: float, p: float, q: float, l: float) -> Decimal:
+    """|p**-x - q**x| / |p**-l - q**l| in 40-digit decimal arithmetic."""
+    with localcontext() as ctx:
+        ctx.prec = 40
+        lp, lq = Decimal(p).ln(), Decimal(q).ln()
+        x, l = Decimal(x), Decimal(l)
+        return abs(((-x * lp).exp() - (x * lq).exp()) / ((-l * lp).exp() - (l * lq).exp()))
 
 
 def test_checked_exp_scalar_and_array():
