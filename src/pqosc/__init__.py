@@ -11,8 +11,9 @@ named-residual CheckReport.
 """
 
 # Every public name loads its module on first access (PEP 562) and is then
-# stored here, so `import pqosc` imports no submodule, a command loads only
-# the modules it runs, and only hopf brings in numpy.
+# stored here, so `import pqosc` imports no submodule and a command loads only
+# the modules it runs.  No module imports numpy until a dense matrix is asked
+# for (Shift.dense, fock.dense_matrix, coproduct_matrix).
 _EXPORTS = {
     "params": (
         "DeformationParams",

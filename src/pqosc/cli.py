@@ -25,10 +25,11 @@ that uses it, and datetime only when a timestamp is written.
     calculus-check   + calculus
     hopf-solve       + coefficients
     rep-check, sweep + fock
-    hopf-check       + coefficients, fock, hopf (numpy)
+    hopf-check       + coefficients, fock, hopf
 
-Only hopf-check imports numpy.  Every command but hopf-solve and
-hopf-check imports no dataclasses either: every type it builds (Config
+No command imports numpy: hopf-check decides coassociativity on symbol
+words and runs its other checks on tuples and lists of floats.  Every
+command but hopf-solve and hopf-check imports no dataclasses either: every type it builds (Config
 here, DeformationParams, the reports, SpectrumTable, ExpSeries, Shift,
 FockRep) is a namedtuple or a plain class.  hopf-solve builds the
 HopfParams and HopfCoefficients dataclasses.

@@ -20,6 +20,7 @@ from pqosc import (
 )
 from pqosc.fock import build
 from pqosc.params import ZeroAlphaError
+from pqosc.structure import EXP_LIMIT, ExponentOverflowError, bracket
 
 
 @pytest.fixture
@@ -136,6 +137,53 @@ def test_coassociativity_detects_perturbation(rep8, solved):
     _, hc = solved
     report = check_coassociativity(rep8, replace(hc, c1=hc.c1 * 1.01), tol=1e-10)
     assert report.entry("coassoc a+").residual > 1e-3
+
+
+def test_coassociativity_pins_a_raised_c1_in_closed_form():
+    # the word (a+, G1, G1) reads c1 p^(-a1 gamma) on one side and c1^2 on
+    # the other, and is alone in its block: the residual is the gap times
+    # the largest interior |a+| and |G1|^2 (G1 grows at p < 1)
+    hp = validate_hopf(0.5, 3, 1, 1, 0.7, 0.7)
+    hc = solve_coefficients(hp)
+    dim = 10
+    rep = build(hp.base_params(), dim, x0=0.0)
+    c1 = hc.c1 * 1.01
+    report = check_coassociativity(rep, replace(hc, c1=c1), tol=1e-10)
+    params = hp.base_params()
+    ad_max = max(math.sqrt(bracket(params.l * (k + 1), params)) for k in range(dim - 2))
+    g1_max = max(hp.p ** (-hc.alpha1 * params.l * k / hp.alpha) for k in range(dim - 2))
+    want = abs(c1 * hp.p ** (-hc.alpha1 * hc.gamma) - c1**2) * ad_max * g1_max**2
+    assert report.entry("coassoc a+").residual == pytest.approx(want, rel=1e-12)
+    worst = report.metadata["worst"]
+    assert (worst["generator"], worst["word"], worst["offset"]) == ("a+", ["a+", "G1", "G1"], [1, 0, 0])
+    assert worst["basis"] == [dim - 3, dim - 3, dim - 3]
+
+
+def test_coassociativity_pins_a_raised_c5_in_closed_form(rep8, solved):
+    # every N word sits in the (0, 0, 0) block: (N, 1, 1) reads c5 against
+    # c5^2, and (1, 1, 1) reads c6 gamma + gamma against c5 gamma + gamma
+    _, hc = solved
+    c5 = hc.c5 * 1.01
+    report = check_coassociativity(rep8, replace(hc, c5=c5), tol=1e-10)
+    n_max = rep8.params.l * (rep8.dim - 3)
+    want = abs(c5 - c5**2) * n_max + abs((hc.c6 - c5) * hc.gamma)
+    assert report.entry("coassoc N").residual == pytest.approx(want, rel=1e-12)
+    assert report.metadata["worst"]["word"] == ["N", "1", "1"]
+    assert report.metadata["worst"]["basis"] == [rep8.dim - 3, 0, 0]
+
+
+@pytest.mark.parametrize("field, value", [("alpha1", -EXP_LIMIT), ("c12", EXP_LIMIT)])
+def test_an_out_of_range_diagonal_raises(rep8, solved, field, value):
+    # p^(-alpha1 x) and the twist p^(alpha1 c12 x) leave the double range
+    # at the top levels: an error, never an inf diagonal
+    _, hc = solved
+    bad = replace(hc, **{field: value})
+    checks = [lambda: check_antipode(bad, rep8)]
+    if field == "alpha1":  # the diagonal itself; c12 moves only the antipode twist
+        checks += [lambda: check_coassociativity(rep8, bad), lambda: check_counit(bad, rep8)]
+    for check in checks:
+        with pytest.raises(ExponentOverflowError):
+            check()
 
 
 def test_coassociativity_memory_stays_small(solved):

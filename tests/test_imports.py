@@ -72,9 +72,11 @@ GRID = "p = 0.5, 2\nq = 3\ndim = 8\n"  # a sweep config, written to "{grid}" in 
          SCALAR | {"fock"}, False),
         (["sweep", "--config", "{grid}"], 0, SCALAR | {"fock"}, False),
         (["sweep", "--config", "{grid}", "--format", "csv"], 0, SCALAR | {"fock"}, False),
+        (["hopf-check", "--p", "2", "--q", "3", "--beta1", "0.7", "--beta2", "0.7", "--dim", "4"], 0,
+         SCALAR | {"coefficients", "fock", "hopf"}, True),
     ],
     ids=["numbers", "spectrum", "calculus-check", "hopf-solve", "numbers-p<0", "hopf-solve-p=q",
-         "rep-check", "rep-check-literal", "sweep-json", "sweep-csv"],
+         "rep-check", "rep-check-literal", "sweep-json", "sweep-csv", "hopf-check"],
 )
 def test_scalar_commands_load_no_numpy(tmp_path, argv, code, modules, dataclasses):
     """No numpy, only the command's own pqosc modules, and no dataclasses
@@ -90,19 +92,19 @@ def test_scalar_commands_load_no_numpy(tmp_path, argv, code, modules, dataclasse
     assert "datetime" not in imported(proc)
 
 
-@pytest.mark.parametrize(
-    "argv, modules",
-    [
-        (["hopf-check", "--p", "2", "--q", "3", "--beta1", "0.7", "--beta2", "0.7", "--dim", "4"],
-         SCALAR | {"coefficients", "fock", "hopf"}),
-    ],
-    ids=["hopf-check"],
-)
-def test_matrix_commands_still_run(argv, modules):
-    proc = cold("-m", "pqosc", *argv, "--no-timestamp")
+def test_hopf_loads_numpy_only_for_a_dense_view():
+    code = (
+        "import sys\n"
+        "from pqosc import fock, hopf\n"
+        "assert 'numpy' not in sys.modules\n"
+        "hp = hopf.validate_hopf(2, 3, 1, 1, 0.7, 0.7)\n"
+        "rep = fock.build(hp.base_params(), 4, x0=0.0)\n"
+        "m = hopf.coproduct_matrix(rep, hopf.solve_coefficients(hp), 'a+')\n"
+        "assert type(m).__module__ == 'numpy' and m.shape == (16, 16), type(m)\n"
+    )
+    proc = cold("-c", code)
     assert proc.returncode == 0, proc.stderr[-500:]
     assert imports_numpy(proc)  # the probe sees numpy where it is loaded
-    assert pqosc_modules(proc) == modules
 
 
 def test_public_names_resolve():
