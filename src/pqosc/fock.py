@@ -24,16 +24,18 @@ a weighted shift: an (offset, weights) pair acting as
 relation residuals and apply_word cost O(dim).  Weights, states and
 lattices are tuples of Python floats: at these sizes a loop over levels
 costs less than importing numpy, so building and checking a
-representation loads neither numpy nor dataclasses.  Dense matrices are
-built only on request, for display and tests, and only they import
-numpy.
+representation loads neither numpy nor dataclasses.  A sum of tensor
+products of shifts on several sites reduces to flat offset blocks
+through tensor_blocks, which the Hopf checks compare and dense_matrix
+reads.  Dense matrices are built only on request, for display and
+tests, and only they import numpy.
 """
 
 from __future__ import annotations
 
 import math
 from collections import namedtuple
-from operator import mul
+from operator import add, mul
 from typing import TYPE_CHECKING, Mapping, Optional, Sequence
 
 from .params import (
@@ -73,25 +75,54 @@ def _exps(t: list) -> tuple:
     return tuple(map(math.exp, t))
 
 
-def dense_matrix(terms: Mapping[tuple, Sequence[float]], dim: int) -> np.ndarray:
-    """Densify a sum of weighted shifts on the product of len(key) sites.
+def tensor_blocks(terms: Sequence[tuple], keep: int) -> dict:
+    """Reduce a sum of tensor products of shifts to {offset tuple: entries}.
 
-    Each key is an offset tuple and its weights are indexed by the input
-    levels, so entry (k + offset, k) of the result is terms[offset][k].
-    For display, tests and coproduct_matrix only; imports numpy.
+    terms is a sequence of (coef, (Shift, ...)) pairs, one shift per
+    site.  A term's entries are its weights at input levels below keep on
+    every site, flattened row-major, each formed as coef * (w1 * (w2 ...)),
+    the order in which the dense Kronecker product multiplies.  Terms
+    with the same offset tuple share a block and are summed in term
+    order; terms with different offset tuples never share an entry.  So
+    a lone shift's blocks, at keep = dim, are {(offset,): weights}.
+    """
+    out: dict = {}
+    for coef, shifts in terms:
+        if len(shifts) == 1:  # no product: the branch below needs two sites or more
+            (s,) = shifts
+            w = [coef * v for v in s.weights[:keep]]
+            key = (s.offset,)
+        else:
+            w = shifts[-1].weights[:keep]
+            for s in shifts[-2:0:-1]:
+                w = [u * v for u in s.weights[:keep] for v in w]
+            w = [coef * (u * v) for u in shifts[0].weights[:keep] for v in w]
+            key = tuple([s.offset for s in shifts])
+        acc = out.get(key)
+        out[key] = w if acc is None else list(map(add, acc, w))
+    return out
+
+
+def dense_matrix(blocks: Mapping[tuple, Sequence[float]], dim: int) -> np.ndarray:
+    """Densify tensor_blocks(terms, dim) on the product of len(key) sites.
+
+    Each key is an offset tuple and its entries are flattened row-major
+    over the input levels (k1, k2, ...), so entry (k + offset, k) of the
+    result is the block's entry at k.  For display, tests and
+    coproduct_matrix only; imports numpy.
     """
     import numpy as np
 
-    sites = len(next(iter(terms)))
+    sites = len(next(iter(blocks)))
     shape = (dim,) * sites
     out = np.zeros((dim**sites, dim**sites))
     cols = np.indices(shape)
-    for offsets, w in terms.items():
+    for offsets, w in blocks.items():
         rows = cols + np.reshape(offsets, (sites,) + (1,) * sites)
         ok = np.all((rows >= 0) & (rows < dim), axis=0)
         r = np.ravel_multi_index(tuple(rows[:, ok]), shape)
         c = np.ravel_multi_index(tuple(cols[:, ok]), shape)
-        out[r, c] += np.asarray(w)[ok]
+        out[r, c] += np.reshape(w, shape)[ok]
     return out
 
 
@@ -114,7 +145,8 @@ class Shift(namedtuple("Shift", "offset weights")):
         return _shifted(tuple(map(mul, self.weights, vec)), -self.offset)
 
     def dense(self) -> np.ndarray:
-        return dense_matrix({(self.offset,): self.weights}, len(self.weights))
+        dim = len(self.weights)
+        return dense_matrix(tensor_blocks([(1.0, (self,))], dim), dim)
 
 
 class FockRep(namedtuple("FockRep", "params dim x0 nu0 weights ops")):

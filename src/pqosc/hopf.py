@@ -19,18 +19,20 @@ so it is decided on symbol words: both sides are expanded from the
 coproduct table into one coefficient per word, and the residual of each
 offset block is bounded by the coefficient gaps times the largest
 interior weights of the word's factors.  That costs O(words * dim) at
-any dim and forms no three-site array.  The homomorphism check multiplies
-two-site operators as lists of rows, and the counit and antipode run on
-fock's own shifts, tuples of floats, one loop over the levels per sum.
-Nothing here imports numpy: coproduct_matrix densifies on request
-through fock.dense_matrix, which does.
+any dim and forms no three-site array.  Every other operator is a sum
+of tensor products of shifts, [(coef, (Shift, ...))]: the counit and
+antipode on one site, the homomorphism check on two, where a product of
+terms is a term of the sites' Shift.@ products.  fock.tensor_blocks
+reduces such a sum to its offset blocks, which are compared entry by
+entry.  Nothing here imports numpy: coproduct_matrix densifies on
+request through fock.dense_matrix, which does.
 """
 
 from __future__ import annotations
 
 import math
 from functools import cached_property
-from operator import add, mul, sub
+from operator import sub
 from typing import TYPE_CHECKING, Sequence
 
 from .coefficients import (  # noqa: F401  (re-exported: the scalar half of the system)
@@ -46,7 +48,7 @@ from .coefficients import (  # noqa: F401  (re-exported: the scalar half of the 
 )
 from .params import require_nonzero_alpha
 from .report import CheckEntry, CheckReport, peak
-from .fock import FockRep, Shift, _exps, _shifted, dense_matrix
+from .fock import FockRep, Shift, _exps, dense_matrix, tensor_blocks
 
 if TYPE_CHECKING:  # annotations only: coproduct_matrix's array comes from fock.dense_matrix
     import numpy as np
@@ -55,28 +57,9 @@ if TYPE_CHECKING:  # annotations only: coproduct_matrix's array comes from fock.
 # Tensor-product evaluation
 # ---------------------------------------------------------------------------
 
-# A one-site sum of shifts, {offset: weights}, the weights a sequence of
-# floats indexed by the input level.
-OneSite = dict[int, Sequence[float]]
-# A two-site sum of shifts, {offset pair: rows}, rows[k1][k2] the weight
-# at input levels (k1, k2): entry (k + offset, k) of the dense matrix.
-# Terms with different offset pairs never share an entry, so sums and
-# comparisons go offset by offset.
-TwoSite = dict[tuple, list]
-
-
-def _one_site(terms) -> OneSite:
-    """Sum of (coef, Shift) pairs, in order, as {offset: weights}."""
-    out: OneSite = {}
-    for coef, shift in terms:
-        w = [coef * v for v in shift.weights]
-        acc = out.get(shift.offset)
-        out[shift.offset] = w if acc is None else list(map(add, acc, w))
-    return out
-
 
 def _residual(left: dict, right: dict) -> float:
-    """Largest |left - right| over every offset and entry; NaN if any entry is."""
+    """Largest |left - right| over every offset block and entry; NaN if any entry is."""
     diffs = []
     for key in dict.fromkeys([*left, *right]):
         lw, rw = left.get(key), right.get(key)
@@ -90,34 +73,6 @@ def _argpeak(values: Sequence[float]) -> int:
     return next(i for i, v in enumerate(values) if abs(v) == top or v != v)
 
 
-def _outer(t: float, x: Sequence[float], y: Sequence[float]) -> list:
-    """Rows of t * (x (x) y), each entry formed as t * (x[i] * y[j])."""
-    return [tuple([t * (u * v) for v in y]) for u in x]
-
-
-def _add(acc: TwoSite, key: tuple, rows: list) -> None:
-    old = acc.get(key)
-    acc[key] = rows if old is None else [tuple(map(add, u, v)) for u, v in zip(old, rows)]
-
-
-def _matmul(x: TwoSite, y: TwoSite) -> TwoSite:
-    """x y, term by term: at input k, x's weight at k + y's offset times y's at k."""
-    out: TwoSite = {}
-    for (o1, o2), wx in x.items():
-        n = len(wx)
-        zero = (0.0,) * n
-        for (p1, p2), wy in y.items():
-            rows = [_shifted(row, p2) for row in wx]
-            rows = [rows[k + p1] if 0 <= k + p1 < n else zero for k in range(n)]
-            _add(out, (o1 + p1, o2 + p2), [tuple(map(mul, u, v)) for u, v in zip(rows, wy)])
-    return out
-
-
-def _interior(terms: TwoSite, keep: int) -> dict:
-    """Each offset's weights at input levels below keep on both sites, flattened."""
-    return {key: [v for row in rows[:keep] for v in row[:keep]] for key, rows in terms.items()}
-
-
 class _HopfEvaluator:
     """Weighted-shift realization of the coproduct/counit/antipode rules.
 
@@ -127,8 +82,7 @@ class _HopfEvaluator:
     grading diag(p^(-x_k/2)); the diagonals and the antipode twists are
     evaluated by fock._exps, which raises ExponentOverflowError where an
     exponent leaves EXP_LIMIT.  ops and sops hold fock.Shifts, whose
-    weights are tuples of floats: the counit and antipode sum and
-    multiply them level by level, one-site products through Shift.@.
+    weights are tuples of floats; one-site products go through Shift.@.
     sops is built on first use, so only the antipode check builds it.
 
     Coassociativity runs on symbol words.  Expanding (id (x) D)D(g) and
@@ -142,9 +96,7 @@ class _HopfEvaluator:
     by sum_w |L_w - R_w| * |x| * (|y| * |z|), which equals the exact
     interior residual where the block holds one word, as every block of
     a and a+ does.  A NaN or inf interior weight makes the bound NaN or inf, so
-    the check fails.  The two-site products of the homomorphism check
-    are lists of rows, every entry formed as t * (A * B) as the dense
-    Kronecker product multiplies.
+    the check fails.
     """
 
     def __init__(self, rep: FockRep, hc: HopfCoefficients):
@@ -212,12 +164,9 @@ class _HopfEvaluator:
             "H4": twist(q ** (hc.alpha4 * hc.c13), -hc.alpha4 * hc.c12, lq),
         }
 
-    def two_site(self, gen: str) -> TwoSite:
-        out: TwoSite = {}
-        for t, (s1, s2) in self.delta[gen]:
-            x, y = self.ops[s1], self.ops[s2]
-            _add(out, (x.offset, y.offset), _outer(t, x.weights, y.weights))
-        return out
+    def two_site(self, gen: str) -> list:
+        """D(gen) as a sum of tensor products of shifts, [(t, (x, y))]."""
+        return [(t, (self.ops[s1], self.ops[s2])) for t, (s1, s2) in self.delta[gen]]
 
     def words(self, gen: str) -> dict:
         """{(x, y, z): [L, R]}: the coefficient of each symbol triple in
@@ -260,15 +209,16 @@ class _HopfEvaluator:
         return residual, peak(b[1] for _, b in found), list(offsets), levels, list(word)
 
     def counit_residuals(self, gen: str) -> tuple[float, float]:
-        target = {self.ops[gen].offset: self.ops[gen].weights}
-        left = _one_site((t * self.eps[s2], self.ops[s1]) for t, (s1, s2) in self.delta[gen])
-        right = _one_site((t * self.eps[s1], self.ops[s2]) for t, (s1, s2) in self.delta[gen])
+        terms, ops, eps, dim = self.delta[gen], self.ops, self.eps, self.rep.dim
+        target = {(ops[gen].offset,): ops[gen].weights}
+        left = tensor_blocks([(t * eps[s2], (ops[s1],)) for t, (s1, s2) in terms], dim)
+        right = tensor_blocks([(t * eps[s1], (ops[s2],)) for t, (s1, s2) in terms], dim)
         return _residual(left, target), _residual(right, target)
 
-    def antipode_sides(self, gen: str) -> tuple[OneSite, OneSite]:
-        terms = self.delta[gen]
-        m_id_s = _one_site((t, self.ops[s1] @ self.sops[s2]) for t, (s1, s2) in terms)
-        m_s_id = _one_site((t, self.sops[s1] @ self.ops[s2]) for t, (s1, s2) in terms)
+    def antipode_sides(self, gen: str) -> tuple[dict, dict]:
+        terms, ops, sops, dim = self.delta[gen], self.ops, self.sops, self.rep.dim
+        m_id_s = tensor_blocks([(t, (ops[s1] @ sops[s2],)) for t, (s1, s2) in terms], dim)
+        m_s_id = tensor_blocks([(t, (sops[s1] @ ops[s2],)) for t, (s1, s2) in terms], dim)
         return m_id_s, m_s_id
 
 
@@ -280,7 +230,7 @@ def coproduct_matrix(rep: FockRep, hc: HopfCoefficients, gen: str) -> np.ndarray
     """
     if gen not in ("1", "a", "a+", "N"):
         raise ValueError(f"gen must be one of '1', 'a', 'a+', 'N', got {gen!r}")
-    return dense_matrix(_HopfEvaluator(rep, hc).two_site(gen), rep.dim)
+    return dense_matrix(tensor_blocks(_HopfEvaluator(rep, hc).two_site(gen), rep.dim), rep.dim)
 
 
 def check_coassociativity(rep: FockRep, hc: HopfCoefficients, tol: float = 1e-10) -> CheckReport:
@@ -345,7 +295,7 @@ def check_antipode(hc: HopfCoefficients, rep: FockRep, tol: float = 1e-10) -> Ch
     for g in ("a", "a+", "N", "1"):
         m_id_s, m_s_id = ev.antipode_sides(g)
         entries.append(CheckEntry(f"antipode mutual {g}", _residual(m_id_s, m_s_id), tol))
-        closure[g] = _residual(m_id_s, {0: [ev.eps[g]] * rep.dim})
+        closure[g] = _residual(m_id_s, {(0,): [ev.eps[g]] * rep.dim})
     metadata = {
         "params": rep.params.as_dict(),
         "dim": rep.dim,
@@ -386,22 +336,25 @@ def check_homomorphism(
             raise ValueError(f"hp.{name} = {got} does not match the representation ({want})")
 
     ev = _HopfEvaluator(rep, hc)
-    delta_a = ev.two_site("a")
-    delta_ad = ev.two_site("a+")
-    lhs = _matmul(delta_a, delta_ad)
-    neg_a = -hc.A
-    for key, rows in _matmul(delta_ad, delta_a).items():
-        _add(lhs, key, [tuple([neg_a * v for v in row]) for row in rows])
+    delta_a, delta_ad = ev.two_site("a"), ev.two_site("a+")
+
+    def product(left: list, right: list, scale: float) -> list:
+        return [
+            (scale * (t * u), (x1 @ y1, x2 @ y2))
+            for t, (x1, x2) in left
+            for u, (y1, y2) in right
+        ]
+
+    lhs = product(delta_a, delta_ad, 1.0) + product(delta_ad, delta_a, -hc.A)
 
     p, q, alpha, l = params.p, params.q, params.alpha, params.l
     den = p ** (-l) - q ** l
     coef_p = (p ** (-alpha * hc.gamma)) * (p ** (-hp.beta1) - hc.A * p ** (-hp.beta2)) / den
     coef_q = (q ** (alpha * hc.gamma)) * (q ** hp.beta1 - hc.A * q ** hp.beta2) / den
-    pw, qw = rep.ops["P"].weights, rep.ops["Q"].weights
-    rhs_rows = zip(_outer(coef_p, pw, pw), _outer(coef_q, qw, qw))
-    rhs = {(0, 0): [tuple(map(sub, u, v)) for u, v in rhs_rows]}
+    P, Q = rep.ops["P"], rep.ops["Q"]
+    rhs = [(coef_p, (P, P)), (-coef_q, (Q, Q))]
     keep = rep.dim - 2
-    residual = _residual(_interior(lhs, keep), _interior(rhs, keep))
+    residual = _residual(tensor_blocks(lhs, keep), tensor_blocks(rhs, keep))
 
     entries = (CheckEntry("homomorphism twisted relation", residual, tol),)
     metadata = {

@@ -92,10 +92,13 @@ def test_coproduct_matrix_matches_kron():
         assert np.array_equal(coproduct_matrix(rep, hc, gen), dense.two_site(gen))
 
 
-def test_homomorphism_matches_dense():
+# The two-site products multiply shifts before the Kronecker product, so
+# their rounding differs from the dense order at some dims, 4 and 12 among them.
+@pytest.mark.parametrize("dim", (4, 8, 12))
+def test_homomorphism_matches_dense(dim):
     hp = validate_hopf(0.5, 3, 2, 1, 1.0, 0.0)
     hc = solve_coefficients(hp)
-    rep = build(hp.base_params(), 8, x0=0.0)
+    rep = build(hp.base_params(), dim, x0=0.0)
     want, scale = dense_oracle.DenseHopf(rep, hc).homomorphism(rep, hc, hp)
     got = check_homomorphism(rep, hc, hp).max_residual()
     assert abs(got - want) <= 1e-14 * scale

@@ -74,9 +74,12 @@ GRID = "p = 0.5, 2\nq = 3\ndim = 8\n"  # a sweep config, written to "{grid}" in 
         (["sweep", "--config", "{grid}", "--format", "csv"], 0, SCALAR | {"fock"}, False),
         (["hopf-check", "--p", "2", "--q", "3", "--beta1", "0.7", "--beta2", "0.7", "--dim", "4"], 0,
          SCALAR | {"coefficients", "fock", "hopf"}, True),
+        (["hopf-check", "--p", "0.5", "--q", "3", "--alpha", "2", "--beta1", "1", "--beta2", "0",
+          "--dim", "8"], 1, SCALAR | {"coefficients", "fock", "hopf"}, True),
     ],
     ids=["numbers", "spectrum", "calculus-check", "hopf-solve", "numbers-p<0", "hopf-solve-p=q",
-         "rep-check", "rep-check-literal", "sweep-json", "sweep-csv", "hopf-check"],
+         "rep-check", "rep-check-literal", "sweep-json", "sweep-csv", "hopf-check",
+         "hopf-check-transport"],
 )
 def test_scalar_commands_load_no_numpy(tmp_path, argv, code, modules, dataclasses):
     """No numpy, only the command's own pqosc modules, and no dataclasses
