@@ -18,9 +18,12 @@ series operators apply a map term by term and normalize once.  Under
 this dilation reading all four defining relations close identically for
 every alpha != 0, which check_realization verifies by applying the maps
 to each monomial z**e.  One normalizer (sort, merge near-equal
-exponents, prune tiny coefficients) serves both: ExpSeries holds its
-result, and check_realization compares each side of a relation as a
-plain tuple of (e, c) pairs, without building a series.
+exponents, prune tiny coefficients) gives ExpSeries its terms.  Where
+the shifts by l/alpha return to e exactly, every side of a relation is
+one term at e, and check_realization forms the coefficient gap the
+normalizer would leave directly, bit for bit; where rounding moves an
+image off e, it normalizes that exponent's sides as plain tuples of
+(e, c) pairs, without building a series.
 """
 
 from __future__ import annotations
@@ -187,6 +190,59 @@ def dilation_op(s: ExpSeries, ratio: float, prefactor: float) -> ExpSeries:
     return _apply(dilation_map(ratio, prefactor), s)
 
 
+def _term_list_gaps(e: float, l: float, ql: float, pl: float, maps: tuple) -> tuple:
+    """The four relation residuals at z**e, each side a normalized term list.
+
+    The general path of check_realization: where rounding moves an image
+    off e, the normalizer merges it with the terms at near-equal exponents.
+    """
+    a, a_dag, n_op, p_op, q_op = maps
+
+    def minus(lhs: tuple, e: float, c: float) -> float:
+        """Largest |coefficient| of lhs - c z**e."""
+        return _max_abs_coeff(_normalize(lhs + ((e, -c),)))
+
+    m = (e, 1.0)
+    up, down, n_m = a_dag(*m), a(*m), n_op(*m)
+    aa, a_a = a(*up), a_dag(*down)
+
+    n_up, up_n = n_op(*up), a_dag(*n_m)
+    lhs1 = _normalize((n_up, (up_n[0], -up_n[1])))
+    scale1 = 1.0 + max(_max_abs_coeff(lhs1), abs(l) * abs(up[1]))
+
+    # a(*n_m) by linearity: down's coefficient is f_general(e) itself
+    n_down, down_n = n_op(*down), (down[0], n_m[1] * down[1])
+    lhs2 = _normalize((n_down, (down_n[0], -down_n[1])))
+    scale2 = 1.0 + max(_max_abs_coeff(lhs2), abs(l) * abs(down[1]))
+
+    rhs_p = p_op(*m)
+    lhs3 = _normalize((aa, (a_a[0], -(ql * a_a[1]))))
+    scale3 = 1.0 + max(abs(aa[1]), ql * abs(a_a[1]), abs(rhs_p[1]))
+
+    rhs_q = q_op(*m)
+    lhs4 = _normalize((aa, (a_a[0], -(pl * a_a[1]))))
+    scale4 = 1.0 + max(abs(aa[1]), pl * abs(a_a[1]), abs(rhs_q[1]))
+    return (
+        minus(lhs1, up[0], l * up[1]) / scale1,
+        minus(lhs2, down[0], -(l * down[1])) / scale2,
+        minus(lhs3, *rhs_p) / scale3,
+        minus(lhs4, *rhs_q) / scale4,
+    )
+
+
+def _kept(c: float) -> float:
+    """A merged coefficient as the normalizer keeps it: pruned (NaN too) to 0.0."""
+    return c if abs(c) >= COEFF_PRUNE else 0.0
+
+
+_LABELS = (
+    "[N, a+] = l a+",
+    "[N, a] = -l a",
+    "aa+ - q^l a+a = P",
+    "aa+ - p^-l a+a = Q",
+)
+
+
 def check_realization(
     params: DeformationParams,
     exponents: Sequence[float],
@@ -195,8 +251,14 @@ def check_realization(
     """Verify the defining relations on each monomial z**e.
 
     The term maps act on z**e directly, and f_general is evaluated once
-    at e and once at e + l/alpha: a N z**e is alpha*e times a z**e.  Each
-    side of a relation is a plain term list, normalized as the series
+    at e and once at e + l/alpha: a N z**e is alpha*e times a z**e.
+    Where the shifts by l/alpha return to e exactly, every side of every
+    relation is one term at one exponent, and each residual is the
+    coefficient gap that normalizing the sides would leave: a two-term
+    sum, the COEFF_PRUNE cut, a second two-term sum.  The gaps are formed
+    with the monomial maps' own expressions, so they are bit for bit what
+    the term lists give.  Where rounding moves an image off e, that
+    exponent goes through the term lists, normalized as the series
     operators normalize, so near-equal exponents merge and images on
     different exponents stay apart.  Residuals are scaled by the largest
     coefficient participating in the identity, so the reported numbers
@@ -210,54 +272,41 @@ def check_realization(
     p, q, alpha, beta, l = params.p, params.q, params.alpha, params.beta, params.l
     ql = q ** l
     pl = p ** (-l)
+    shift = l / alpha
     a, a_dag, n_op = lower_map(params), raise_map(params), number_map(params)
-    p_op = dilation_map(p ** (-alpha), p ** (-beta))
-    q_op = dilation_map(q ** alpha, q ** beta)
+    p_ratio, p_pref = p ** (-alpha), p ** (-beta)
+    p_op = dilation_map(p_ratio, p_pref)
+    q_ratio, q_pref = q ** alpha, q ** beta
+    q_op = dilation_map(q_ratio, q_pref)
+    lr_p, lr_q = math.log(p_ratio), math.log(q_ratio)
+    abs_l = abs(l)
 
-    def minus(lhs: tuple, e: float, c: float) -> float:
-        """Largest |coefficient| of lhs - c z**e."""
-        return _max_abs_coeff(_normalize(lhs + ((e, -c),)))
-
-    worst = {
-        "[N, a+] = l a+": 0.0,
-        "[N, a] = -l a": 0.0,
-        "aa+ - q^l a+a = P": 0.0,
-        "aa+ - p^-l a+a = Q": 0.0,
-    }
+    worst = [0.0] * 4
     for e in exponents:
-        m = (float(e), 1.0)
-        up, down, n_m = a_dag(*m), a(*m), n_op(*m)
-        aa, a_a = a(*up), a_dag(*down)
+        e = float(e)
+        up, down = e + shift, e - shift
+        # Exact round trips put every image at e; an infinite e would not merge.
+        if up - shift == e and down + shift == e and math.isfinite(e):
+            fe = f_general(e, params)
+            fu = f_general(up, params)
+            # [N, a+] = l a+ at z**up: N a+ gives alpha*up, a+ N gives alpha*e
+            g = _kept(alpha * up - alpha * e)
+            r1 = abs(_kept(g - l)) / (1.0 + max(abs(g), abs_l))
+            # [N, a] = -l a at z**down, a N z**e being alpha*e times a z**e
+            g = _kept(fe * alpha * down - alpha * e * fe)
+            r2 = abs(_kept(g + l * fe)) / (1.0 + max(abs(g), abs_l * abs(fe)))
+            # a a+ z**e = f(up) z**e and a+ a z**e = f(e) z**e
+            rhs = p_pref * checked_exp(e * lr_p)
+            g = _kept(fu - ql * fe)
+            r3 = abs(_kept(g - rhs)) / (1.0 + max(abs(fu), ql * abs(fe), abs(rhs)))
+            rhs = q_pref * checked_exp(e * lr_q)
+            g = _kept(fu - pl * fe)
+            r4 = abs(_kept(g - rhs)) / (1.0 + max(abs(fu), pl * abs(fe), abs(rhs)))
+            gaps = (r1, r2, r3, r4)
+        else:
+            gaps = _term_list_gaps(e, l, ql, pl, (a, a_dag, n_op, p_op, q_op))
+        worst = [max(w, r) for w, r in zip(worst, gaps)]
 
-        n_up, up_n = n_op(*up), a_dag(*n_m)
-        lhs1 = _normalize((n_up, (up_n[0], -up_n[1])))
-        scale1 = 1.0 + max(_max_abs_coeff(lhs1), abs(l) * abs(up[1]))
-        worst["[N, a+] = l a+"] = max(
-            worst["[N, a+] = l a+"], minus(lhs1, up[0], l * up[1]) / scale1
-        )
-
-        # a(*n_m) by linearity: down's coefficient is f_general(e) itself
-        n_down, down_n = n_op(*down), (down[0], n_m[1] * down[1])
-        lhs2 = _normalize((n_down, (down_n[0], -down_n[1])))
-        scale2 = 1.0 + max(_max_abs_coeff(lhs2), abs(l) * abs(down[1]))
-        worst["[N, a] = -l a"] = max(
-            worst["[N, a] = -l a"], minus(lhs2, down[0], -(l * down[1])) / scale2
-        )
-
-        rhs_p = p_op(*m)
-        lhs3 = _normalize((aa, (a_a[0], -(ql * a_a[1]))))
-        scale3 = 1.0 + max(abs(aa[1]), ql * abs(a_a[1]), abs(rhs_p[1]))
-        worst["aa+ - q^l a+a = P"] = max(
-            worst["aa+ - q^l a+a = P"], minus(lhs3, *rhs_p) / scale3
-        )
-
-        rhs_q = q_op(*m)
-        lhs4 = _normalize((aa, (a_a[0], -(pl * a_a[1]))))
-        scale4 = 1.0 + max(abs(aa[1]), pl * abs(a_a[1]), abs(rhs_q[1]))
-        worst["aa+ - p^-l a+a = Q"] = max(
-            worst["aa+ - p^-l a+a = Q"], minus(lhs4, *rhs_q) / scale4
-        )
-
-    entries = tuple(CheckEntry(label, value, tol) for label, value in worst.items())
+    entries = tuple(CheckEntry(label, value, tol) for label, value in zip(_LABELS, worst))
     metadata = {"params": params.as_dict(), "exponents": [float(e) for e in exponents]}
     return CheckReport("difference-realization", entries, metadata)

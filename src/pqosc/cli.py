@@ -18,7 +18,7 @@ and the exit code through report alone.
 
 Each process loads only the modules its command runs: every pqosc
 module past params, structure and report is imported inside the handler
-that uses it, and datetime only when a timestamp is written.
+that uses it, and datetime only when a JSON report is timestamped.
 
     numbers          cli, params, structure, report
     spectrum         + spectrum
@@ -401,7 +401,7 @@ def run(argv: list[str]) -> int:
             reports, table = handler(cfg, payload)
             code = 0 if all(report.passed for report in reports) else 1
 
-        if not args.no_timestamp:
+        if fmt == "json" and not args.no_timestamp:  # CSV rows carry no timestamp
             from datetime import datetime, timezone
 
             payload["timestamp"] = datetime.now(timezone.utc).isoformat()

@@ -59,10 +59,16 @@ if TYPE_CHECKING:  # annotations only: coproduct_matrix's array comes from fock.
 
 
 def _residual(left: dict, right: dict) -> float:
-    """Largest |left - right| over every offset block and entry; NaN if any entry is."""
+    """Largest |left - right| over every offset block and entry; NaN if any entry is.
+
+    Raises ValueError where a block has a different length on each side,
+    which map(sub, ...) would truncate to the shorter one.
+    """
     diffs = []
     for key in dict.fromkeys([*left, *right]):
         lw, rw = left.get(key), right.get(key)
+        if lw is not None and rw is not None and len(lw) != len(rw):
+            raise ValueError(f"block {key}: {len(lw)} entries on the left, {len(rw)} on the right")
         diffs += rw if lw is None else lw if rw is None else map(sub, lw, rw)
     return peak(diffs)
 

@@ -139,9 +139,11 @@ def check_pq_inversion(params: DeformationParams, n_max: int, tol: float = 1e-11
             lambda_n(n, params)
             lambda_n(n, other)
         raise
-    lam = [a + b for a, b in zip(w[0::2], w[1::2])]
-    lam_dual = [a + b for a, b in zip(w_dual[0::2], w_dual[1::2])]
-    worst = peak([abs(a - b) / (1.0 + abs(a)) for a, b in zip(lam, lam_dual)])
+    # lambda_n = w(x_n) + w(x_n + l) on both lattices, compared in the same pass
+    worst = peak([
+        abs((lam := a + b) - (c + d)) / (1.0 + abs(lam))
+        for a, b, c, d in zip(w[0::2], w[1::2], w_dual[0::2], w_dual[1::2])
+    ])
     entries = (CheckEntry("pq-inversion", worst, tol),)
     metadata = {"params": params.as_dict(), "n_max": n_max, "scaling": "1 + |lambda_n|"}
     return CheckReport("spectrum-duality", entries, metadata)

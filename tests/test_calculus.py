@@ -202,16 +202,24 @@ def series_residuals(params, exponents):
 
 def test_check_realization_matches_series_composition():
     # check_realization applies the term maps to monomials; composing the
-    # series operators gives the same residuals bit for bit.
-    exponents = [-3.0, -1.5, 0.0, 0.25, 1.0, 2.0, 3.0, 5.0]
+    # series operators gives the same residuals bit for bit.  Non-dyadic
+    # alpha, l and beta make a reassociated product show; at 0.1 and
+    # alpha = 0.37, (e + l/alpha) - l/alpha != e, so the term-list path runs.
+    exponents = [-3.0, -1.5, 0.0, 0.1, 0.25, 1.0, 2.0, 3.0, 5.0]
+    assert (0.1 + 1.0 / 0.37) - 1.0 / 0.37 != 0.1
     for p, q, alpha, beta, l in product(
-        (0.5, 1.5, 2.0), (0.3, 0.9, 3.0), (0.5, 1.0, 2.0), (0.0, 0.5), (0.5, 1.0, 2.0)
+        (0.5, 1.5, 2.0),
+        (0.3, 0.9, 3.0),
+        (0.5, 1.0, 2.0, -1.3, 0.37),
+        (0.0, 0.5, -1.25),
+        (0.5, 1.0, 2.0, 0.1, 7.0),
     ):
         if p * q == 1.0:
             continue
         params = validate(p, q, alpha, beta, l)
         report = check_realization(params, exponents)
-        assert [e.residual for e in report.entries] == series_residuals(params, exponents)
+        got = [e.residual.hex() for e in report.entries]
+        assert got == [r.hex() for r in series_residuals(params, exponents)], params
 
 
 def test_check_realization_catches_a_twisted_lowering(monkeypatch):

@@ -45,6 +45,23 @@ def test_nonzero_beta_default_needs_lowest_weight():
         build(params, dim=6)
 
 
+@pytest.mark.parametrize("edge, raises", [(1.5, True), (0.5, False)])
+def test_lowest_weight_tolerance_edge(base_params, edge, raises):
+    # w_0 = bracket(x0) is linear near 0, so x0 puts it at edge * 1e-12 of
+    # the largest weight: just above the lowest-weight tolerance it must
+    # raise, just below it the lattice builds.
+    dim = 6
+    scale = bracket(base_params.l * dim, base_params)
+    slope = bracket(1e-6, base_params) / 1e-6
+    x0 = edge * 1e-12 * scale / slope
+    assert bracket(x0, base_params) / (1e-12 * scale) == pytest.approx(edge, rel=1e-4)
+    if raises:
+        with pytest.raises(NotLowestWeightError):
+            build(base_params, dim, x0=x0)
+    else:
+        assert build(base_params, dim, x0=x0).weights[0] == bracket(x0, base_params)
+
+
 def test_nonzero_beta_with_explicit_x0():
     params = validate(2, 3, 1, 0.5, 1)
     rep = build(params, dim=6, x0=0.0)

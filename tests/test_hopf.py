@@ -18,6 +18,7 @@ from pqosc import (
     solve_coefficients,
     validate_hopf,
 )
+from pqosc import hopf
 from pqosc.fock import build
 from pqosc.params import ZeroAlphaError
 from pqosc.structure import EXP_LIMIT, ExponentOverflowError, bracket
@@ -281,6 +282,35 @@ def test_homomorphism_requires_offset_gap(rep8, solved):
     hp, hc = solved
     with pytest.raises(Beta1Beta2MismatchError):
         check_homomorphism(rep8, hc, hp)
+
+
+@pytest.mark.parametrize("gap, raises", [(1e-11, True), (1e-13, False)])
+def test_homomorphism_offset_gap_edge(gap, raises):
+    # beta1 - beta2 must equal l to 1e-12: a 1e-11 mismatch is refused,
+    # a 1e-13 one runs the transport check
+    hp = validate_hopf(0.5, 3, 2, 1, 1.0 + gap, 0.0)
+    hc = solve_coefficients(hp)
+    rep = build(hp.base_params(), 4, x0=0.0)
+    if raises:
+        with pytest.raises(Beta1Beta2MismatchError):
+            check_homomorphism(rep, hc, hp)
+    else:
+        assert check_homomorphism(rep, hc, hp).entries
+
+
+def test_residual_rejects_a_cut_block(rep8, solved):
+    # The antipode closure target for g = 1 is eps(1) on every level; one
+    # cut to dim - 1 levels must be refused, not compared on the first dim - 1.
+    _, hc = solved
+    ev = hopf._HopfEvaluator(rep8, hc)
+    m_id_s, _ = ev.antipode_sides("1")
+    target = [ev.eps["1"]] * rep8.dim
+    closure = check_antipode(hc, rep8).metadata["axiom_closure"]["1"]
+    assert hopf._residual(m_id_s, {(0,): target}) == closure
+    with pytest.raises(ValueError, match="entries"):
+        hopf._residual(m_id_s, {(0,): target[:-1]})
+    with pytest.raises(ValueError, match="entries"):
+        hopf._residual({(0,): target[:-1]}, m_id_s)
 
 
 def test_homomorphism_transport_gap():

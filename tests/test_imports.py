@@ -95,6 +95,15 @@ def test_scalar_commands_load_no_numpy(tmp_path, argv, code, modules, dataclasse
     assert "datetime" not in imported(proc)
 
 
+@pytest.mark.parametrize("fmt, stamped", [("csv", False), ("json", True)])
+def test_only_a_json_report_loads_datetime(fmt, stamped):
+    """Without --no-timestamp, JSON carries a timestamp and loads datetime; CSV has no field for it."""
+    proc = cold("-m", "pqosc", "numbers", "--p", "2", "--q", "3", "--format", fmt)
+    assert proc.returncode == 0, proc.stderr[-500:]
+    assert ("datetime" in imported(proc)) == stamped
+    assert ('"timestamp"' in proc.stdout) == stamped
+
+
 def test_hopf_loads_numpy_only_for_a_dense_view():
     code = (
         "import sys\n"
