@@ -205,7 +205,9 @@ def build(
         if weights[k] < -_NEGATIVE_WEIGHT_TOL * scale:
             raise NegativeWeightError(f"w_{k} = {weights[k]:.6g} < 0")
 
-    lower = (0.0,) + tuple([math.sqrt(max(w, 0.0)) for w in weights[1:dim]])
+    # sqrt(max(w, 0.0)) bit for bit, -0.0 and NaN included, without the call to max
+    sqrt = math.sqrt
+    lower = (0.0,) + tuple([0.0 if w < 0.0 else sqrt(w) for w in weights[1:dim]])
     lp = math.log(params.p)
     lq = math.log(params.q)
     x.pop()  # P and Q sit on levels 0 .. dim-1

@@ -82,6 +82,12 @@ class DeformationParams(namedtuple("DeformationParams", "p q alpha beta l")):
     structure function is then constant in n) but is rejected by the
     operators that divide by alpha.  `params._replace(p=...)` makes a
     changed copy, with bracket_constants of its own.
+
+    The instance __dict__ holds only values computed from the five
+    fields, so none can go stale: "bracket_constants" (below) and
+    "_level_brackets", spectrum's last level lattice with its n_max.
+    ==, hash, repr and as_dict read the fields alone, and _replace and
+    dual build instances with an empty __dict__.
     """
 
     @cached_property

@@ -22,6 +22,14 @@ order the per-level loop takes them, so every value, and the error a
 level that leaves the double range raises, is the per-level loop's.
 Their reductions keep NaN (report.peak), so a level that overflows
 fails instead of dropping out of the maximum.
+
+The level lattice of one DeformationParams is evaluated once per n_max:
+_level_brackets keeps its last (n_max, xs, w) in the instance __dict__,
+as params keeps bracket_constants, so check_pq_inversion after
+spectrum_table on the same params evaluates only the dual lattice.  The
+five fields cannot change, so the memo cannot go stale; ==, hash, repr
+and as_dict do not see it, and _replace and dual make instances without
+it.
 """
 
 from __future__ import annotations
@@ -63,11 +71,11 @@ class SpectrumTable(namedtuple("SpectrumTable", "params rows")):
 
     def max_form_spread(self) -> float:
         """Largest |main - form| / (1 + |main|); NaN if some level is NaN."""
-        spreads = []
-        for _, main, fq, fp in self.rows:
-            scale = 1.0 + abs(main)
-            spreads += (abs(main - fq) / scale, abs(main - fp) / scale)
-        return peak(spreads)
+        rows = self.rows
+        return peak(
+            [abs(main - fq) / (1.0 + abs(main)) for _, main, fq, _ in rows]
+            + [abs(main - fp) / (1.0 + abs(main)) for _, main, _, fp in rows]
+        )
 
 
 def _level_brackets(params: DeformationParams, n_max: int) -> tuple[list, list]:
@@ -75,10 +83,19 @@ def _level_brackets(params: DeformationParams, n_max: int) -> tuple[list, list]:
 
     One lattice in the order the per-level loop evaluates them, x_n before
     x_n + l, so a failing level raises what lambda_n at that level raises.
+    The result is kept on params for its n_max (see the module docstring);
+    callers only read it.
     """
+    memo = params.__dict__.get("_level_brackets")
+    if memo is not None and memo[0] == n_max:
+        return memo[1], memo[2]
     alpha, beta, l = params.alpha, params.beta, params.l
     xs = [alpha * n + beta for n in range(n_max + 1)]
-    w = brackets([t for x in xs for t in (x, x + l)], params)
+    lattice = xs * 2
+    lattice[0::2] = xs
+    lattice[1::2] = [x + l for x in xs]
+    w = brackets(lattice, params)
+    params.__dict__["_level_brackets"] = (n_max, xs, w)
     return xs, w
 
 

@@ -31,7 +31,9 @@ from pqosc.fock import build
 import dense_oracle
 
 GRID = [(p, q) for p in (0.5, 1.5, 2.0) for q in (0.3, 0.9, 3.0) if abs(p * q - 1.0) > 1e-9]
-PERTURBED = ("c1", "c4", "gamma", "alpha2")
+# Every exponent is perturbed on its own: G1, H2, G3 and H4 share a
+# diagonal only where their exponents are equal.
+PERTURBED = ("c1", "c4", "gamma", "alpha1", "alpha2", "alpha3", "alpha4")
 
 
 def hopf_case(p, q, beta, dim):

@@ -1,3 +1,6 @@
+import math
+import struct
+
 import numpy as np
 import pytest
 
@@ -10,6 +13,7 @@ from pqosc import (
     pq_sum_oracle,
     validate,
 )
+from pqosc import fock
 from pqosc.fock import DimensionMismatchError, Shift, build
 
 
@@ -136,6 +140,25 @@ def test_weights_are_the_scalar_bracket_bit_for_bit(point, x0):
     start = params.beta if x0 is None else x0
     want = [bracket(start + params.l * k, params) for k in range(41)]
     assert [w.hex() for w in rep.weights] == [w.hex() for w in want]
+
+
+# Lattice values the a-weight kernel must take as sqrt(max(w, 0.0)) does:
+# NaN stays NaN, -0.0 stays -0.0, a tiny negative gives 0.0, inf gives inf.
+SPECIAL_WEIGHTS = [0.0, 2.25, math.nan, -0.0, -1e-300, -5e-324, math.inf, 0.0, 1.0]
+
+
+def bits(values):
+    return [struct.pack("<d", v) for v in values]
+
+
+def test_ladder_weights_on_special_values_bit_for_bit(base_params, monkeypatch):
+    monkeypatch.setattr(fock, "brackets", lambda xs, params: SPECIAL_WEIGHTS[: len(xs)])
+    dim = len(SPECIAL_WEIGHTS) - 1
+    rep = build(base_params, dim)
+    want = [0.0] + [math.sqrt(max(w, 0.0)) for w in SPECIAL_WEIGHTS[1:dim]]
+    assert bits(rep.ops["a"].weights) == bits(want)
+    assert bits(rep.ops["a+"].weights) == bits(want[1:] + [0.0])
+    assert bits(want[2:7]) == bits([math.nan, -0.0, 0.0, 0.0, math.inf])
 
 
 def test_apply_word(base_params):

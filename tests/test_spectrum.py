@@ -191,3 +191,41 @@ def test_a_level_that_overflows_fails():
         spectrum_table(params, 0)
     table = SpectrumTable(params, ((0, -math.inf, -math.inf, -math.inf),))
     assert math.isnan(table.max_form_spread())
+
+
+def hexes(table):
+    return [(n, *(v.hex() for v in vals)) for n, *vals in table.rows]
+
+
+@pytest.mark.parametrize("point", LATTICE_POINTS)
+@pytest.mark.parametrize("table_first", [True, False])
+def test_the_level_memo_gives_fresh_results(point, table_first):
+    params = validate(*point)
+    if table_first:
+        table = spectrum_table(params, 20)
+        report = check_pq_inversion(params, 10)
+    else:
+        report = check_pq_inversion(params, 10)
+        table = spectrum_table(params, 20)
+    assert hexes(table) == hexes(spectrum_table(validate(*point), 20))
+    want = check_pq_inversion(validate(*point), 10)
+    assert report.entries[0].residual.hex() == want.entries[0].residual.hex()
+    assert report == want
+    # the same n_max again reads the memo, and gives the same results
+    assert hexes(spectrum_table(params, 20)) == hexes(table)
+    assert check_pq_inversion(params, 10) == want
+
+
+def test_the_level_memo_leaves_the_fields_alone():
+    params = validate(0.7, 1.9, -1.5, 0.3, 0.5)
+    twin = validate(0.7, 1.9, -1.5, 0.3, 0.5)
+    seen = (params == twin, hash(params), repr(params), params.as_dict())
+    spectrum_table(params, 20)
+    assert "_level_brackets" in vars(params) and "_level_brackets" not in vars(twin)
+    assert (params == twin, hash(params), repr(params), params.as_dict()) == seen
+    for other in (params._replace(p=1.5), params._replace(), dual(params), dual(dual(params))):
+        assert "_level_brackets" not in vars(other)
+    replaced = params._replace(q=2.5)
+    assert hexes(spectrum_table(replaced, 20)) == hexes(
+        spectrum_table(validate(0.7, 2.5, -1.5, 0.3, 0.5), 20)
+    )
