@@ -289,12 +289,16 @@ def apply_word(rep: FockRep, word: Sequence[str], state: Sequence[float]) -> lis
     if len(word) == 0:
         raise ValueError("word must be nonempty")
     shape = getattr(state, "shape", None)  # an array's; a sequence must hold numbers
+    as_floats = False
     if shape is not None:
         if len(shape) != 1:
             raise DimensionMismatchError(f"state has shape {tuple(shape)}, expected ({rep.dim},)")
-        state = state.tolist()  # Python numbers in one call, not one float() per array scalar
+        # Python numbers in one call, not one float() per array scalar; a
+        # float64 array's are already floats, any other dtype's go through float()
+        as_floats = getattr(state, "dtype", None) == "float64"
+        state = state.tolist()
     try:
-        vec = tuple(map(float, state))
+        vec = tuple(state) if as_floats else tuple(map(float, state))
     except TypeError:  # not a sequence, or one of sequences
         raise DimensionMismatchError(f"state must be a sequence of {rep.dim} numbers") from None
     if len(vec) != rep.dim:

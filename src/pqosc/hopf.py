@@ -90,10 +90,6 @@ class _HopfEvaluator:
     exponent leaves EXP_LIMIT.  ops and sops hold fock.Shifts, whose
     weights are tuples of floats; one-site products go through Shift.@.
     sops is built on first use, so only the antipode check builds it.
-    Where alpha3 == alpha1, G3 is G1's shift, diagonal and twist alike,
-    and where alpha4 == alpha2, H4 is H2's: equal exponents give the same
-    lattice bit for bit, so it is evaluated once.  The solved system has
-    all four equal to alpha/2.
 
     Coassociativity runs on symbol words.  Expanding (id (x) D)D(g) and
     (D (x) id)D(g) from the delta table gives one coefficient per symbol
@@ -116,15 +112,11 @@ class _HopfEvaluator:
         lp, lq = math.log(p), math.log(q)
         alpha = rep.params.alpha
         xt = self.xt = [x / alpha for x in rep.x_lattice]  # lattice of a bare N exponent
-
-        def grading(e: float, ln: float) -> Shift:
-            return Shift(0, _exps([e * x * ln for x in xt]))
-
-        ops = self.ops = {s: rep.ops[s] for s in ("1", "a", "a+", "N")}
-        ops["G1"] = grading(-hc.alpha1, lp)
-        ops["H2"] = grading(hc.alpha2, lq)
-        ops["G3"] = ops["G1"] if hc.alpha3 == hc.alpha1 else grading(-hc.alpha3, lp)
-        ops["H4"] = ops["H2"] if hc.alpha4 == hc.alpha2 else grading(hc.alpha4, lq)
+        self.ops = {s: rep.ops[s] for s in ("1", "a", "a+", "N")}
+        self.ops["G1"] = Shift(0, _exps([-hc.alpha1 * x * lp for x in xt]))
+        self.ops["H2"] = Shift(0, _exps([hc.alpha2 * x * lq for x in xt]))
+        self.ops["G3"] = Shift(0, _exps([-hc.alpha3 * x * lp for x in xt]))
+        self.ops["H4"] = Shift(0, _exps([hc.alpha4 * x * lq for x in xt]))
 
         self.delta = {
             "1": [(1.0, ("1", "1"))],
@@ -164,25 +156,18 @@ class _HopfEvaluator:
         def twist(pre: float, e: float, ln: float) -> Shift:
             return Shift(0, tuple([pre * v for v in _exps([e * x * ln for x in xt])]))
 
-        def g_twist(ak: float) -> Shift:
-            return twist(p ** (-ak * hc.c13), ak * hc.c12, lp)
-
-        def h_twist(ak: float) -> Shift:
-            return twist(q ** (ak * hc.c13), -ak * hc.c12, lq)
-
         one, a, ad, n_op = (self.ops[s] for s in ("1", "a", "a+", "N"))
         neg_c10, neg_c11 = -hc.c10, -hc.c11
         s_n = [hc.c12 * n + hc.c13 * u for n, u in zip(n_op.weights, one.weights)]
-        g1, h2 = g_twist(hc.alpha1), h_twist(hc.alpha2)
         return {
             "1": one,
             "a": Shift(a.offset, tuple([neg_c11 * w for w in a.weights])),
             "a+": Shift(ad.offset, tuple([neg_c10 * w for w in ad.weights])),
             "N": Shift(0, tuple(s_n)),
-            "G1": g1,
-            "H2": h2,
-            "G3": g1 if hc.alpha3 == hc.alpha1 else g_twist(hc.alpha3),
-            "H4": h2 if hc.alpha4 == hc.alpha2 else h_twist(hc.alpha4),
+            "G1": twist(p ** (-hc.alpha1 * hc.c13), hc.alpha1 * hc.c12, lp),
+            "H2": twist(q ** (hc.alpha2 * hc.c13), -hc.alpha2 * hc.c12, lq),
+            "G3": twist(p ** (-hc.alpha3 * hc.c13), hc.alpha3 * hc.c12, lp),
+            "H4": twist(q ** (hc.alpha4 * hc.c13), -hc.alpha4 * hc.c12, lq),
         }
 
     def two_site(self, gen: str) -> list:

@@ -83,11 +83,9 @@ class DeformationParams(namedtuple("DeformationParams", "p q alpha beta l")):
     operators that divide by alpha.  `params._replace(p=...)` makes a
     changed copy, with bracket_constants of its own.
 
-    The instance __dict__ holds only values computed from the five
-    fields, so none can go stale: "bracket_constants" (below) and
-    "_level_brackets", spectrum's last level lattice with its n_max.
-    ==, hash, repr and as_dict read the fields alone, and _replace and
-    dual build instances with an empty __dict__.
+    The instance __dict__ may hold caches computed from the five fields
+    alone, such as bracket_constants below; ==, hash, repr and as_dict
+    never read it.
     """
 
     @cached_property

@@ -179,6 +179,19 @@ def test_apply_word(base_params):
     assert out_n[2] == pytest.approx(rep.nu0 + 2 * base_params.l)
 
 
+@pytest.mark.parametrize(
+    "dtype", [np.float64, np.float32, np.longdouble, np.int64, np.bool_, ">f8"]
+)
+def test_apply_word_takes_any_real_dtype_as_floats(base_params, dtype):
+    rep = build(base_params, dim=6)
+    state = np.array([1.3, 0.0, 1.3, 2.6, 0.0, 1.3]).astype(dtype)
+    assert state.dtype == np.dtype(dtype)
+    want = apply_word(rep, ["a+", "a"], [float(v) for v in state])
+    out = apply_word(rep, ["a+", "a"], state)
+    assert all(type(v) is float for v in out)
+    assert [v.hex() for v in out] == [v.hex() for v in want]
+
+
 def test_apply_word_validates(base_params):
     rep = build(base_params, dim=4)
     with pytest.raises(ValueError):
