@@ -18,17 +18,24 @@ from pqosc.fock import build
 
 np.set_printoptions(precision=4, suppress=True)
 
+
+def matrix(shift):
+    """A weighted shift as a dense matrix: weights[k] at entry (k + offset, k)."""
+    off, w = shift.offset, shift.weights
+    return np.diag(w[-off:] if off < 0 else w[: len(w) - off], -off)
+
+
 params = validate(2.0, 3.0, 1.0, 0.0, 1.0)
 rep = build(params, dim=4)
 
 print("weights w_k = bracket(l*k):", np.round(rep.weights, 6))
-a, a_dag = rep.generator("a").dense(), rep.generator("a+").dense()
+a, a_dag = matrix(rep.generator("a")), matrix(rep.generator("a+"))
 print("\nlowering matrix a:")
 print(a)
 print("\nraising matrix a+ (transpose of a):")
 print(a_dag)
 print("\nnumber operator N:")
-print(rep.generator("N").dense())
+print(matrix(rep.generator("N")))
 
 print("\nHamiltonian diagonal a+a + aa+ (interior):",
       np.round(np.diag(a_dag @ a + a @ a_dag)[:3], 6))

@@ -12,8 +12,7 @@ named-residual CheckReport.
 
 # Every public name loads its module on first access (PEP 562) and is then
 # stored here, so `import pqosc` imports no submodule and a command loads only
-# the modules it runs.  No module imports numpy until a dense matrix is asked
-# for (Shift.dense, fock.dense_matrix, coproduct_matrix).
+# the modules it runs.  No module imports numpy.
 _EXPORTS = {
     "params": (
         "DeformationParams",
@@ -63,7 +62,6 @@ _EXPORTS = {
         "check_constraints",
     ),
     "hopf": (
-        "coproduct_matrix",
         "check_coassociativity",
         "check_counit",
         "check_antipode",

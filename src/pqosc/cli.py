@@ -130,8 +130,8 @@ def _merged_options(values: dict) -> dict:
         raise ConfigError(f"mode must be 'grading' or 'literal', got {merged['mode']!r}")
     if merged["format"] not in ("json", "csv"):
         raise ConfigError(f"format must be 'json' or 'csv', got {merged['format']!r}")
-    if merged["tol"] <= 0:
-        raise ConfigError(f"tol must be positive, got {merged['tol']}")
+    if not 0 < merged["tol"] < float("inf"):  # NaN fails both comparisons
+        raise ConfigError(f"tol must be positive and finite, got {merged['tol']}")
     if merged["n_max"] < 0:
         raise ConfigError(f"n_max must be nonnegative, got {merged['n_max']}")
     return merged

@@ -26,9 +26,8 @@ lattices are tuples of Python floats: at these sizes a loop over levels
 costs less than importing numpy, so building and checking a
 representation loads neither numpy nor dataclasses.  A sum of tensor
 products of shifts on several sites reduces to flat offset blocks
-through tensor_blocks, which the Hopf checks compare and dense_matrix
-reads.  Dense matrices are built only on request, for display and
-tests, and only they import numpy.
+through tensor_blocks, which the Hopf checks compare.  No dense matrix
+is formed here: a shift's matrix has weights[k] at entry (k + offset, k).
 """
 
 from __future__ import annotations
@@ -36,7 +35,7 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 from operator import add, mul
-from typing import TYPE_CHECKING, Mapping, Optional, Sequence
+from typing import Optional, Sequence
 
 from .params import (
     DeformationParams,
@@ -47,9 +46,6 @@ from .params import (
 )
 from .report import CheckEntry, CheckReport, peak
 from .structure import brackets, checked_exp
-
-if TYPE_CHECKING:  # annotations only: the representation runs without numpy
-    import numpy as np
 
 _LOWEST_WEIGHT_TOL = 1e-12
 _NEGATIVE_WEIGHT_TOL = 1e-14
@@ -103,29 +99,6 @@ def tensor_blocks(terms: Sequence[tuple], keep: int) -> dict:
     return out
 
 
-def dense_matrix(blocks: Mapping[tuple, Sequence[float]], dim: int) -> np.ndarray:
-    """Densify tensor_blocks(terms, dim) on the product of len(key) sites.
-
-    Each key is an offset tuple and its entries are flattened row-major
-    over the input levels (k1, k2, ...), so entry (k + offset, k) of the
-    result is the block's entry at k.  For display, tests and
-    coproduct_matrix only; imports numpy.
-    """
-    import numpy as np
-
-    sites = len(next(iter(blocks)))
-    shape = (dim,) * sites
-    out = np.zeros((dim**sites, dim**sites))
-    cols = np.indices(shape)
-    for offsets, w in blocks.items():
-        rows = cols + np.reshape(offsets, (sites,) + (1,) * sites)
-        ok = np.all((rows >= 0) & (rows < dim), axis=0)
-        r = np.ravel_multi_index(tuple(rows[:, ok]), shape)
-        c = np.ravel_multi_index(tuple(cols[:, ok]), shape)
-        out[r, c] += np.reshape(w, shape)[ok]
-    return out
-
-
 class Shift(namedtuple("Shift", "offset weights")):
     """Weighted shift |k> -> weights[k] |k + offset> on levels 0 .. dim-1.
 
@@ -144,10 +117,6 @@ class Shift(namedtuple("Shift", "offset weights")):
     def apply(self, vec: Sequence[float]) -> tuple:
         return _shifted(tuple(map(mul, self.weights, vec)), -self.offset)
 
-    def dense(self) -> np.ndarray:
-        dim = len(self.weights)
-        return dense_matrix(tensor_blocks([(1.0, (self,))], dim), dim)
-
 
 class FockRep(namedtuple("FockRep", "params dim x0 nu0 weights ops")):
     """Truncated representation; every generator is a weighted shift.
@@ -155,8 +124,7 @@ class FockRep(namedtuple("FockRep", "params dim x0 nu0 weights ops")):
     weights holds w_k = bracket(x0 + l*k) for k = 0 .. dim, a tuple of
     dim + 1 floats.  ops maps "1", "a", "a+", "N", "P", "Q" to their
     shifts: a has offset -1 and weights sqrt(w_k), a+ offset +1 and
-    weights sqrt(w_{k+1}); N, P, Q and 1 are diagonal (offset 0).  A
-    dense matrix, for display and tests, is generator(symbol).dense().
+    weights sqrt(w_{k+1}); N, P, Q and 1 are diagonal (offset 0).
     """
 
     __slots__ = ()

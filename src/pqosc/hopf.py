@@ -24,8 +24,7 @@ of tensor products of shifts, [(coef, (Shift, ...))]: the counit and
 antipode on one site, the homomorphism check on two, where a product of
 terms is a term of the sites' Shift.@ products.  fock.tensor_blocks
 reduces such a sum to its offset blocks, which are compared entry by
-entry.  Nothing here imports numpy: coproduct_matrix densifies on
-request through fock.dense_matrix, which does.
+entry.  No dense matrix is formed and nothing here imports numpy.
 """
 
 from __future__ import annotations
@@ -33,7 +32,7 @@ from __future__ import annotations
 import math
 from functools import cached_property
 from operator import sub
-from typing import TYPE_CHECKING, Sequence
+from typing import Sequence
 
 from .coefficients import (  # noqa: F401  (re-exported: the scalar half of the system)
     ADegenerateError,
@@ -41,17 +40,13 @@ from .coefficients import (  # noqa: F401  (re-exported: the scalar half of the 
     GammaUndefinedError,
     HopfCoefficients,
     HopfParams,
-    _rel,
     check_constraints,
     solve_coefficients,
     validate_hopf,
 )
 from .params import require_nonzero_alpha
 from .report import CheckEntry, CheckReport, peak
-from .fock import FockRep, Shift, _exps, dense_matrix, tensor_blocks
-
-if TYPE_CHECKING:  # annotations only: coproduct_matrix's array comes from fock.dense_matrix
-    import numpy as np
+from .fock import FockRep, Shift, _exps, tensor_blocks
 
 # ---------------------------------------------------------------------------
 # Tensor-product evaluation
@@ -231,17 +226,6 @@ class _HopfEvaluator:
         m_id_s = tensor_blocks([(t, (ops[s1] @ sops[s2],)) for t, (s1, s2) in terms], dim)
         m_s_id = tensor_blocks([(t, (sops[s1] @ ops[s2],)) for t, (s1, s2) in terms], dim)
         return m_id_s, m_s_id
-
-
-def coproduct_matrix(rep: FockRep, hc: HopfCoefficients, gen: str) -> np.ndarray:
-    """Dense tensor-product matrix of the coproduct of a generator.
-
-    gen is one of "1", "a", "a+", "N"; the result acts on the
-    dim**2-dimensional two-site space.  The checks never build it.
-    """
-    if gen not in ("1", "a", "a+", "N"):
-        raise ValueError(f"gen must be one of '1', 'a', 'a+', 'N', got {gen!r}")
-    return dense_matrix(tensor_blocks(_HopfEvaluator(rep, hc).two_site(gen), rep.dim), rep.dim)
 
 
 def check_coassociativity(rep: FockRep, hc: HopfCoefficients, tol: float = 1e-10) -> CheckReport:

@@ -35,8 +35,8 @@ class ZeroAlphaError(ParameterError):
 
 
 # The truncated-representation errors live here, beside ParameterError, so
-# that code catching them (the CLI) need not import fock and numpy; fock
-# re-exports them.
+# that code catching them (the CLI) need not import fock; fock re-exports
+# them.
 
 
 class FockError(ValueError):

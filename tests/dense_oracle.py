@@ -22,6 +22,12 @@ def interior_projector(dim: int, levels: int = 1) -> np.ndarray:
     return pi
 
 
+def matrix(shift) -> np.ndarray:
+    """A fock.Shift as a dense matrix: weights[k] at entry (k + offset, k)."""
+    off, w = shift.offset, shift.weights
+    return np.diag(w[-off:] if off < 0 else w[: len(w) - off], -off)
+
+
 def one_site(rep) -> dict:
     """Dense a, a+, N, P, Q and 1 rebuilt from rep.weights and rep.params."""
     d, params = rep.dim, rep.params

@@ -284,9 +284,11 @@ def test_sweep_csv(tmp_path, capsys):
 
 @pytest.mark.parametrize("config, flags, message", [
     ("p = 2\nq = 3\n", ["--tol", "-1"], "tol must be positive"),
+    ("p = 2\nq = 3\n", ["--tol", "inf"], "tol must be positive and finite, got inf"),
+    ("p = 2\nq = 3\ntol = nan\n", [], "tol must be positive and finite, got nan"),
     ("p = 2, 3\nq = 3\nmode = bogus\n", [], "mode must be 'grading' or 'literal'"),
     ("p = 2, 3\nq = 3\nformat = xml\n", [], "format must be 'json' or 'csv'"),
-], ids=["tol", "mode", "format"])
+], ids=["tol", "tol-inf", "tol-nan", "mode", "format"])
 def test_sweep_invalid_option_exit_two(tmp_path, capsys, config, flags, message):
     # An invalid option is rejected once, before the grid, not per point.
     cfg = tmp_path / "grid.cfg"
@@ -295,6 +297,17 @@ def test_sweep_invalid_option_exit_two(tmp_path, capsys, config, flags, message)
     assert code == 2
     assert out == ""
     assert err.startswith(f"error: ConfigError: {message}")
+
+
+def test_rep_check_infinite_tol_exit_two(capsys):
+    # With tol = inf the documented literal-mode failure would read as a pass.
+    code, out, err = run_capture(
+        capsys,
+        ["rep-check", "--p", "2", "--q", "3", "--alpha", "2", "--mode", "literal", "--tol", "inf"],
+    )
+    assert code == 2
+    assert out == ""
+    assert err == "error: ConfigError: tol must be positive and finite, got inf\n"
 
 
 def test_json_report_round_trip(capsys):

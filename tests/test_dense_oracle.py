@@ -21,12 +21,12 @@ from pqosc import (
     check_counit,
     check_homomorphism,
     check_relations,
-    coproduct_matrix,
     solve_coefficients,
     validate,
     validate_hopf,
 )
-from pqosc.fock import build
+from pqosc import hopf
+from pqosc.fock import build, tensor_blocks
 
 import dense_oracle
 
@@ -87,11 +87,27 @@ def test_dim_eight_matches_dense():
     assert_hopf_matches_dense(*hopf_case(0.5, 3.0, 2.0, 8))
 
 
-def test_coproduct_matrix_matches_kron():
+def test_tensor_blocks_layout_matches_kron():
+    """tensor_blocks' layout, read entry by entry: the entry of input
+    (k1, k2) in block (o1, o2) sits at row (k1+o1)*d + k2+o2, column
+    k1*d + k2 of the Kronecker product; an entry whose row leaves the
+    truncation is zero."""
     hc, rep = hopf_case(2.0, 3.0, 0.7, 5)
+    d = rep.dim
+    ev = hopf._HopfEvaluator(rep, hc)
     dense = dense_oracle.DenseHopf(rep, hc)
     for gen in ("1", "a", "a+", "N"):
-        assert np.array_equal(coproduct_matrix(rep, hc, gen), dense.two_site(gen))
+        got = np.zeros((d * d, d * d))
+        for (o1, o2), entries in tensor_blocks(ev.two_site(gen), d).items():
+            assert len(entries) == d * d
+            for i, v in enumerate(entries):
+                k1, k2 = divmod(i, d)
+                r1, r2 = k1 + o1, k2 + o2
+                if 0 <= r1 < d and 0 <= r2 < d:
+                    got[r1 * d + r2, k1 * d + k2] += v
+                else:
+                    assert v == 0.0, (gen, (o1, o2), (k1, k2))
+        assert np.array_equal(got, dense.two_site(gen)), gen
 
 
 # The two-site products multiply shifts before the Kronecker product, so
@@ -118,8 +134,8 @@ def test_relations_match_dense(mode, args):
 def test_dense_views_match_weights():
     rep = build(validate(2, 3, 1, 0, 1), 7)
     dense = dense_oracle.one_site(rep)
-    for symbol in ("a", "a+", "N", "P", "Q"):
-        assert np.array_equal(rep.generator(symbol).dense(), dense[symbol])
+    for symbol in ("1", "a", "a+", "N", "P", "Q"):
+        assert np.array_equal(dense_oracle.matrix(rep.generator(symbol)), dense[symbol])
 
 
 def test_worst_location_points_at_dense_entry():

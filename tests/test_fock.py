@@ -16,13 +16,8 @@ from pqosc import (
 from pqosc import fock
 from pqosc.fock import DimensionMismatchError, Shift, build
 
-
-def interior_projector(dim: int, levels: int = 1) -> np.ndarray:
-    """Diagonal projector zeroing the top `levels` basis levels."""
-    pi = np.eye(dim)
-    for k in range(max(dim - levels, 0), dim):
-        pi[k, k] = 0.0
-    return pi
+import dense_oracle
+from dense_oracle import interior_projector
 
 # weight fixture for (p=2, q=3, alpha=1, beta=0, l=1), frozen from the
 # summation oracle level by level
@@ -39,7 +34,8 @@ def test_weights_match_oracle(base_params):
 
 def test_raising_is_transpose(base_params):
     rep = build(base_params, dim=8)
-    assert np.array_equal(rep.generator("a+").dense(), rep.generator("a").dense().T)
+    a = dense_oracle.matrix(rep.generator("a"))
+    assert np.array_equal(dense_oracle.matrix(rep.generator("a+")), a.T)
 
 
 def test_nonzero_beta_default_needs_lowest_weight():
@@ -99,7 +95,7 @@ def test_literal_fails_for_alpha_two():
 
 def test_twisted_commutator_any_twist(base_params):
     rep = build(base_params, dim=12)
-    a, a_dag = rep.generator("a").dense(), rep.generator("a+").dense()
+    a, a_dag = (dense_oracle.matrix(rep.generator(s)) for s in ("a", "a+"))
     pi = interior_projector(rep.dim, 1)
     for twist in (-1.3, 0.0, 0.7, 2.0):
         lhs = (a @ a_dag - twist * a_dag @ a) @ pi
@@ -110,7 +106,7 @@ def test_twisted_commutator_any_twist(base_params):
 
 def test_ladder_products_are_weight_diagonals(base_params):
     rep = build(base_params, dim=10)
-    a, a_dag = rep.generator("a").dense(), rep.generator("a+").dense()
+    a, a_dag = (dense_oracle.matrix(rep.generator(s)) for s in ("a", "a+"))
     scale = float(np.max(np.abs(rep.weights)))
     assert np.max(np.abs(a_dag @ a - np.diag(rep.weights[: rep.dim]))) <= 1e-13 * scale
     pi = interior_projector(rep.dim, 1)

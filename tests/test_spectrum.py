@@ -15,6 +15,8 @@ from pqosc import (
 )
 from pqosc.fock import build
 
+import dense_oracle
+
 P_GRID = (0.5, 1.5, 2.0)
 Q_GRID = (0.3, 0.9, 3.0)
 
@@ -75,7 +77,7 @@ def test_hamiltonian_eigs_equal_weight_sums(base_params):
 
 def test_hamiltonian_eigs_match_matrix_diagonal(base_params):
     rep = build(base_params, dim=12)
-    a, a_dag = rep.generator("a").dense(), rep.generator("a+").dense()
+    a, a_dag = (dense_oracle.matrix(rep.generator(s)) for s in ("a", "a+"))
     h = a_dag @ a + a @ a_dag
     diag = np.diag(h)[:11]
     scale = float(np.max(np.abs(rep.weights)))
