@@ -1,12 +1,15 @@
 """Command-line interface.
 
-Subcommands: numbers, spectrum, rep-check, calculus-check, hopf-solve,
-hopf-check, sweep.  Parameters come from `--config FILE` (line-based
-`key = value`, `#` comments) and/or flags; flags win.  Reports go to
-stdout or `--out` as JSON (default) or CSV.
+    osc <command> [--key value | --key=value]... [--config PATH] [--out PATH] [--no-timestamp]
 
-Exit codes: 0 all checks pass, 1 at least one check failed (reports are
-still emitted), 2 invalid parameters or config, 3 internal numeric
+The command comes first.  Each key of a `--config` file (`key = value`
+lines, `#` comments) has one flag, `_` written `-` (`--n-max`), with no
+abbreviations.  The token after a flag is always its value, and one
+_parse_value reads flag and file values.  Flags override the file, the
+last of a repeated flag wins, and -h or --help anywhere prints USAGE.
+Reports go to stdout or `--out` as JSON (default) or CSV.  Exit codes:
+0 all checks pass, 1 at least one check failed (reports are still
+emitted), 2 invalid parameters, config or arguments, 3 internal numeric
 failure (overflow, undefined gamma); the message names the error.
 
 Every handler returns the CheckReports it ran and its CSV table.  The
@@ -18,7 +21,8 @@ and the exit code through report alone.
 
 Each process loads only the modules its command runs: every pqosc
 module past params, structure and report is imported inside the handler
-that uses it, and datetime only when a JSON report is timestamped.
+that uses it, datetime only when a JSON report is timestamped, and csv
+only when a CSV table is written.  No command imports argparse.
 
     numbers          cli, params, structure, report
     spectrum         + spectrum
@@ -29,16 +33,14 @@ that uses it, and datetime only when a JSON report is timestamped.
 
 No command imports numpy: hopf-check decides coassociativity on symbol
 words and runs its other checks on tuples and lists of floats.  Every
-command but hopf-solve and hopf-check imports no dataclasses either: every type it builds (Config
-here, DeformationParams, the reports, SpectrumTable, ExpSeries, Shift,
-FockRep) is a namedtuple or a plain class.  hopf-solve builds the
-HopfParams and HopfCoefficients dataclasses.
+command but hopf-solve and hopf-check imports no dataclasses either:
+every type it builds (Config here, DeformationParams, the reports,
+SpectrumTable, ExpSeries, Shift, FockRep) is a namedtuple or a plain
+class; those two build the HopfParams and HopfCoefficients dataclasses.
 """
 
 from __future__ import annotations
 
-import argparse
-import csv
 import io
 import json
 import sys
@@ -88,7 +90,10 @@ class Config(namedtuple("Config", "params beta1 beta2 dim n_max tol mode fmt")):
     __slots__ = ()
 
 
-def _parse_value(key: str, raw: str, line_no: int, allow_lists: bool):
+def _parse_value(key: str, raw: str, where: str, allow_lists: bool):
+    """The value of one key, from a config line or a flag; where names it in errors."""
+    if not raw:
+        raise ConfigError(f"{where}: empty value for key {key!r}")
     if key in _STR_KEYS:
         return raw
     try:
@@ -98,7 +103,7 @@ def _parse_value(key: str, raw: str, line_no: int, allow_lists: bool):
             return int(raw)
         return float(raw)
     except ValueError:
-        raise ConfigError(f"line {line_no}: cannot parse value {raw!r} for key {key!r}") from None
+        raise ConfigError(f"{where}: cannot parse value {raw!r} for key {key!r}") from None
 
 
 def read_pairs(source: str, allow_lists: bool = False) -> dict:
@@ -113,16 +118,14 @@ def read_pairs(source: str, allow_lists: bool = False) -> dict:
         key, raw = (part.strip() for part in text.split("=", 1))
         if key not in _ALL_KEYS:
             raise ConfigError(f"line {line_no}: unknown key {key!r}")
-        if not raw:
-            raise ConfigError(f"line {line_no}: empty value for key {key!r}")
-        out[key] = _parse_value(key, raw, line_no, allow_lists)
+        out[key] = _parse_value(key, raw, f"line {line_no}", allow_lists)
     return out
 
 
 def _merged_options(values: dict) -> dict:
     """values over the defaults; raises ConfigError for a missing p or q or a bad option."""
     merged = dict(_DEFAULTS)
-    merged.update({k: v for k, v in values.items() if v is not None})
+    merged.update(values)
     for key in ("p", "q"):
         if key not in merged:
             raise ConfigError(f"missing required parameter {key!r}")
@@ -167,6 +170,8 @@ def _emit(payload: dict, cfg_fmt: str, out_path: str | None, table) -> None:
     if cfg_fmt == "json":
         text = json.dumps(payload, indent=2) + "\n"
     else:
+        import csv
+
         header, rows = table
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
@@ -215,7 +220,10 @@ def _relations_report(cfg: Config) -> CheckReport:
     from . import fock
 
     rep = fock.build(cfg.params, cfg.dim)
-    return fock.check_relations(rep, cfg.mode, cfg.tol * peak(rep.weights))
+    tol = cfg.tol * peak(rep.weights)
+    if not tol < float("inf"):  # NaN fails too
+        raise ConfigError(f"tol {cfg.tol} times the largest ladder weight is {tol}, not finite")
+    return fock.check_relations(rep, cfg.mode, tol)
 
 
 def _cmd_rep_check(cfg: Config, payload: dict):
@@ -317,65 +325,97 @@ def _cmd_sweep(cfg_values: dict, payload: dict):
 # ---------------------------------------------------------------------------
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", metavar="PATH", help="key = value parameter file")
-    for key in ("p", "q", "alpha", "beta", "l", "beta1", "beta2", "tol"):
-        common.add_argument(f"--{key}", type=float)
-    common.add_argument("--dim", type=int)
-    common.add_argument("--n-max", dest="n_max", type=int)
-    common.add_argument("--mode", choices=("grading", "literal"))
-    common.add_argument("--format", dest="fmt", choices=("json", "csv"))
-    common.add_argument("--out", metavar="PATH", help="write the report here instead of stdout")
-    common.add_argument("--no-timestamp", action="store_true", help="omit the timestamp field")
+_HANDLERS = {
+    "numbers": _cmd_numbers,
+    "spectrum": _cmd_spectrum,
+    "rep-check": _cmd_rep_check,
+    "calculus-check": _cmd_calculus_check,
+    "hopf-solve": _cmd_hopf_solve,
+    "hopf-check": _cmd_hopf_check,
+    "sweep": _cmd_sweep,  # takes the merged values, not a Config
+}
+_FLAGS = {"--" + key.replace("_", "-"): key for key in _ALL_KEYS}  # --n-max -> n_max
 
-    parser = argparse.ArgumentParser(
-        prog="osc", description="Deformed-oscillator verification toolkit"
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text in (
-        ("numbers", "table of the structure function f(n), n = 0..n_max"),
-        ("spectrum", "closed-form spectrum with all three forms and the duality residual"),
-        ("rep-check", "defining relations on a truncated matrix representation"),
-        ("calculus-check", "difference-operator realization on monomials"),
-        ("hopf-solve", "solve the coproduct coefficient system"),
-        ("hopf-check", "coassociativity, counit, antipode, and relation transport"),
-        ("sweep", "rep-check over a parameter grid from a config file"),
-    ):
-        sub.add_parser(name, parents=[common], help=help_text)
-    return parser
+USAGE = """\
+usage: osc <command> [--key value | --key=value]... [--config PATH] [--out PATH] [--no-timestamp]
+
+Deformed-oscillator verification toolkit.
+
+commands:
+  numbers         table of the structure function f(n), n = 0..n_max
+  spectrum        closed-form spectrum with all three forms and the duality residual
+  rep-check       defining relations on a truncated matrix representation
+  calculus-check  difference-operator realization on monomials
+  hopf-solve      solve the coproduct coefficient system
+  hopf-check      coassociativity, counit, antipode, and relation transport
+  sweep           rep-check over a parameter grid from a config file
+
+options (flags override the config file; a repeated flag's last value wins):
+  --p X, --q X            the two bases (required)
+  --alpha X, --beta X, --l X
+                          exponent slope, offset, grading step (default 1, 0, 1)
+  --beta1 X, --beta2 X    Hopf offsets (hopf-solve, hopf-check)
+  --dim N                 truncation dimension (default 16)
+  --n-max N               highest level n (default 20)
+  --tol X                 residual tolerance (default 1e-10)
+  --mode grading|literal  rep-check's exponential generators (default grading)
+  --format json|csv       report format (default json)
+  --config PATH           key = value parameter file, # comments
+  --out PATH              write the report here instead of stdout
+  --no-timestamp          omit the timestamp field
+  -h, --help              print this text
+
+exit codes: 0 all checks pass, 1 a check failed, 2 invalid parameters,
+config or arguments, 3 numeric failure
+"""
+
+
+def _read_argv(argv: list[str]):
+    """(command, values, config, out, stamp) of one argv; ConfigError on anything else."""
+    if not argv or argv[0] not in _HANDLERS:
+        got = repr(argv[0]) if argv else "none"
+        raise ConfigError(f"expected a command ({', '.join(_HANDLERS)}), got {got}")
+    values, paths, stamp = {}, {"--config": None, "--out": None}, True
+    tokens = iter(argv[1:])
+    for token in tokens:
+        if token == "--no-timestamp":
+            stamp = False
+            continue
+        flag, eq, raw = token.partition("=")
+        if flag not in _FLAGS and flag not in paths:
+            raise ConfigError(f"unrecognized argument {token!r}")
+        raw = raw if eq else next(tokens, None)
+        if raw is None:
+            raise ConfigError(f"{flag} expects a value")
+        if flag in paths:
+            paths[flag] = raw
+        else:
+            values[_FLAGS[flag]] = _parse_value(_FLAGS[flag], raw, flag, False)
+    return argv[0], values, paths["--config"], paths["--out"], stamp
 
 
 def run(argv: list[str]) -> int:
     """Execute one CLI invocation and return the process exit code."""
-    parser = _build_parser()
+    if "-h" in argv or "--help" in argv:
+        sys.stdout.write(USAGE)
+        return 0
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        code = exc.code if isinstance(exc.code, int) else 2
-        return code
+        command, flag_values, config, out, stamp = _read_argv(argv)
+        values = {}
+        if config:
+            with open(config, "r", encoding="utf-8") as handle:
+                values = read_pairs(handle.read(), allow_lists=(command == "sweep"))
+        values.update(flag_values)
 
-    try:
-        file_values = {}
-        if args.config:
-            with open(args.config, "r", encoding="utf-8") as handle:
-                source = handle.read()
-            file_values = read_pairs(source, allow_lists=(args.command == "sweep"))
-        flag_values = {
-            key: getattr(args, "fmt" if key == "format" else key.replace("-", "_"), None)
-            for key in _ALL_KEYS
-        }
-        values = dict(file_values)
-        values.update({k: v for k, v in flag_values.items() if v is not None})
-
-        payload = {"command": args.command}
-        if args.command == "sweep":
+        payload = {"command": command}
+        handler = _HANDLERS[command]
+        if command == "sweep":
             merged = _merged_options(values)
             fmt = merged["format"]
             payload["grid"] = {
                 k: list(v) for k, v in merged.items() if isinstance(v, tuple)
             }
-            code, table = _cmd_sweep(merged, payload)
+            code, table = handler(merged, payload)
         else:
             cfg = build_config(values)
             payload["params"] = cfg.params.as_dict()
@@ -390,22 +430,14 @@ def run(argv: list[str]) -> int:
                 "mode": cfg.mode,
             }
             fmt = cfg.fmt
-            handler = {
-                "numbers": _cmd_numbers,
-                "spectrum": _cmd_spectrum,
-                "rep-check": _cmd_rep_check,
-                "calculus-check": _cmd_calculus_check,
-                "hopf-solve": _cmd_hopf_solve,
-                "hopf-check": _cmd_hopf_check,
-            }[args.command]
             reports, table = handler(cfg, payload)
             code = 0 if all(report.passed for report in reports) else 1
 
-        if fmt == "json" and not args.no_timestamp:  # CSV rows carry no timestamp
+        if fmt == "json" and stamp:  # CSV rows carry no timestamp
             from datetime import datetime, timezone
 
             payload["timestamp"] = datetime.now(timezone.utc).isoformat()
-        _emit(payload, fmt, args.out, table)
+        _emit(payload, fmt, out, table)
         return code
     except (ConfigError, ParameterError, FockError, DimensionMismatchError,
             Beta1Beta2MismatchError, OSError) as exc:

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from pqosc.cli import ConfigError, parse_config, run
+from pqosc.cli import USAGE, ConfigError, parse_config, run
 
 
 def run_capture(capsys, argv):
@@ -227,9 +227,42 @@ def test_missing_required_parameter_exit_two(capsys):
     assert code == 2
 
 
-def test_unknown_subcommand_exit_two(capsys):
-    assert run(["bogus"]) == 2
-    capsys.readouterr()
+COMMANDS = "numbers, spectrum, rep-check, calculus-check, hopf-solve, hopf-check, sweep"
+
+
+@pytest.mark.parametrize("argv, message", [
+    ([], f"expected a command ({COMMANDS}), got none"),
+    (["bogus"], f"expected a command ({COMMANDS}), got 'bogus'"),
+    (["numbers", "--p", "2", "--q", "3", "--bogus", "1"], "unrecognized argument '--bogus'"),
+    (["numbers", "--p", "2", "--q", "3", "--n_max", "2"], "unrecognized argument '--n_max'"),
+    (["numbers", "--p", "2", "--q", "3", "--no"], "unrecognized argument '--no'"),
+    (["numbers", "--p", "2", "--q"], "--q expects a value"),
+    (["numbers", "--p", "abc", "--q", "3"], "--p: cannot parse value 'abc' for key 'p'"),
+    (["numbers", "--p=", "--q", "3"], "--p: empty value for key 'p'"),
+], ids=["no-argv", "unknown-command", "unknown-flag", "underscore", "abbreviation",
+        "no-value", "unparsable", "empty"])
+def test_parse_errors_exit_two(capsys, argv, message):
+    assert run_capture(capsys, argv) == (2, "", f"error: ConfigError: {message}\n")
+
+
+@pytest.mark.parametrize("argv", [["-h"], ["numbers", "--help"], ["bogus", "--p", "-h"]],
+                         ids=["h", "command-help", "anywhere"])
+def test_help_prints_usage(capsys, argv):
+    code, out, err = run_capture(capsys, argv)
+    assert (code, out, err) == (0, USAGE, "")
+    assert all(f"\n  {name} " in out for name in COMMANDS.split(", "))
+
+
+def test_equals_form_and_repeated_flag(capsys):
+    spaced = run_capture(
+        capsys, ["numbers", "--p", "2", "--q", "3", "--n-max", "4", "--format", "csv"]
+    )
+    joined = run_capture(capsys, ["numbers", "--p=2", "--q=3", "--n-max=4", "--format=csv"])
+    assert spaced == joined and spaced[0] == 0 and len(spaced[1].splitlines()) == 6
+    # the last of a repeated flag wins
+    repeated = run_capture(capsys, ["numbers", "--p", "2", "--q=0.5", "--q", "3", "--n-max", "9",
+                                    "--n-max=4", "--format", "csv"])
+    assert repeated == spaced
 
 
 def test_determinism_without_timestamp(capsys):
@@ -299,15 +332,33 @@ def test_sweep_invalid_option_exit_two(tmp_path, capsys, config, flags, message)
     assert err.startswith(f"error: ConfigError: {message}")
 
 
-def test_rep_check_infinite_tol_exit_two(capsys):
-    # With tol = inf the documented literal-mode failure would read as a pass.
+@pytest.mark.parametrize("flags, message", [
+    (["--tol", "inf"], "tol must be positive and finite, got inf"),
+    # finite, but 1e300 times the largest ladder weight (5.9e37 at dim 80) is not
+    (["--tol", "1e300", "--dim", "80"],
+     "tol 1e+300 times the largest ladder weight is inf, not finite"),
+], ids=["tol-inf", "scaled-tol-overflow"])
+def test_rep_check_infinite_tol_exit_two(capsys, flags, message):
+    # With an infinite tol the documented literal-mode failure would read as a pass.
     code, out, err = run_capture(
-        capsys,
-        ["rep-check", "--p", "2", "--q", "3", "--alpha", "2", "--mode", "literal", "--tol", "inf"],
+        capsys, ["rep-check", "--p", "2", "--q", "3", "--alpha", "2", "--mode", "literal", *flags]
     )
     assert code == 2
     assert out == ""
-    assert err == "error: ConfigError: tol must be positive and finite, got inf\n"
+    assert err == f"error: ConfigError: {message}\n"
+
+
+def test_sweep_flags_point_whose_scaled_tol_overflows(tmp_path, capsys):
+    # At q = 0.3 the weights stay below 1 and tol 1e300 is finite; at q = 3 it overflows.
+    cfg = tmp_path / "grid.cfg"
+    cfg.write_text("p = 2\nq = 0.3, 3\nalpha = 2\nmode = literal\ntol = 1e300\ndim = 80\n")
+    code, out, _ = run_capture(capsys, ["sweep", "--config", str(cfg), "--format", "csv"])
+    assert code == 1
+    rows = list(csv.reader(io.StringIO(out)))
+    assert len(rows) == 1 + 4 + 1
+    assert all(row[7:] == ["1e+300", "true"] for row in rows[1:5])
+    assert rows[5][1] == "3.0" and rows[5][6:] == ["", "", "false"]
+    assert rows[5][5].startswith("ConfigError: tol 1e+300 times the largest ladder weight")
 
 
 def test_json_report_round_trip(capsys):

@@ -94,6 +94,8 @@ def test_scalar_commands_load_no_numpy(tmp_path, argv, code, modules, dataclasse
     assert pqosc_modules(proc) == modules
     assert ("dataclasses" in imported(proc)) == dataclasses
     assert "datetime" not in imported(proc)
+    assert not {"argparse", "gettext"} & imported(proc)
+    assert ("csv" in imported(proc)) == ("csv" in argv)  # only --format csv loads it
 
 
 @pytest.mark.parametrize("fmt, stamped", [("csv", False), ("json", True)])
