@@ -1,8 +1,8 @@
-"""Difference-operator realization on finite exponent series.
+"""Difference-operator realization on monomials z**e.
 
-A series is a finite sum  sum_i c_i * z**(e_i)  with real exponents.
-Every operator maps a single term to a single term, so each is defined
-once as a monomial map (e, c) -> (e', c'):
+A term c * z**e with a real exponent e is an (e, c) pair.  Every
+operator maps a single term to a single term, so each is defined once
+as a monomial map (e, c) -> (e', c'):
 
     a  : difference derivative, (e, c) -> (e - l/alpha, c * f_general(e))
     a+ : multiplication by z**(l/alpha), (e, c) -> (e + l/alpha, c)
@@ -13,17 +13,10 @@ with the exponential generators acting as dilations,
     (e, c) -> (e, c * prefactor * ratio**e),
 
 p**(-alpha*N - beta) being (ratio=p**-alpha, prefactor=p**-beta) and
-q**(alpha*N + beta) being (ratio=q**alpha, prefactor=q**beta).  The
-series operators apply a map term by term and normalize once.  Under
+q**(alpha*N + beta) being (ratio=q**alpha, prefactor=q**beta).  Under
 this dilation reading all four defining relations close identically for
 every alpha != 0, which check_realization verifies by applying the maps
-to each monomial z**e.  One normalizer (sort, merge near-equal
-exponents, prune tiny coefficients) gives ExpSeries its terms.  Where
-the shifts by l/alpha return to e exactly, every side of a relation is
-one term at e, and check_realization forms the coefficient gap the
-normalizer would leave directly, bit for bit; where rounding moves an
-image off e, it normalizes that exponent's sides as plain tuples of
-(e, c) pairs, without building a series.
+to each monomial z**e.
 """
 
 from __future__ import annotations
@@ -39,14 +32,13 @@ from .structure import checked_exp, f_general
 # arithmetic is additive shifts of exact inputs, so drift stays bounded.
 EXPONENT_TOL = 1e-12
 COEFF_PRUNE = 1e-300
-MAX_TERMS = 10000
 
 
 def _normalize(pairs: Iterable[tuple[float, float]]) -> tuple[tuple[float, float], ...]:
     """Float (exponent, coefficient) pairs sorted, near-equal exponents merged, tiny terms pruned.
 
-    The one normal form of a term list: ExpSeries holds it, and
-    check_realization compares the sides of each relation in it.
+    The one normal form of a term list: check_realization compares the
+    sides of each relation in it.
     """
     kept = []
     e0 = c0 = None  # the group being merged: its first exponent, its summed coefficient
@@ -60,78 +52,11 @@ def _normalize(pairs: Iterable[tuple[float, float]]) -> tuple[tuple[float, float
         e0, c0 = e, c
     if c0 is not None and abs(c0) >= COEFF_PRUNE:
         kept.append((e0, c0))
-    if len(kept) > MAX_TERMS:
-        raise ValueError(f"series has {len(kept)} terms, limit is {MAX_TERMS}")
     return tuple(kept)
 
 
 def _max_abs_coeff(terms: Sequence[tuple[float, float]]) -> float:
     return max([abs(c) for _, c in terms], default=0.0)
-
-
-class ExpSeries:
-    """Finite generalized polynomial: (exponent, coefficient) pairs.
-
-    Immutable, compared and hashed by its terms.  A plain class rather
-    than a tuple, so that `2 * series` scales and `series * 2` and
-    `len(series)` stay errors.
-    """
-
-    __slots__ = ("terms",)
-
-    def __init__(self, terms: tuple[tuple[float, float], ...]):
-        object.__setattr__(self, "terms", terms)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self.terms == other.terms
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.terms,))
-
-    def __repr__(self) -> str:
-        return f"ExpSeries(terms={self.terms!r})"
-
-    @staticmethod
-    def from_terms(pairs: Iterable[tuple[float, float]]) -> "ExpSeries":
-        """The series of the pairs, as floats, normalized."""
-        return ExpSeries(_normalize([(float(e), float(c)) for e, c in pairs]))
-
-    @staticmethod
-    def monomial(exponent: float, coefficient: float = 1.0) -> "ExpSeries":
-        return ExpSeries.from_terms([(exponent, coefficient)])
-
-    @staticmethod
-    def zero() -> "ExpSeries":
-        return ExpSeries(())
-
-    def __add__(self, other: "ExpSeries") -> "ExpSeries":
-        return ExpSeries.from_terms(self.terms + other.terms)
-
-    def __sub__(self, other: "ExpSeries") -> "ExpSeries":
-        return self + (-1.0) * other
-
-    def __rmul__(self, scalar: float) -> "ExpSeries":
-        return ExpSeries.from_terms((e, scalar * c) for e, c in self.terms)
-
-    def max_abs_coeff(self) -> float:
-        return _max_abs_coeff(self.terms)
-
-    def coefficient(self, exponent: float) -> float:
-        for e, c in self.terms:
-            if abs(e - exponent) <= EXPONENT_TOL * (1.0 + abs(exponent)):
-                return c
-        return 0.0
-
-    def is_zero(self) -> bool:
-        return len(self.terms) == 0
 
 
 # A monomial map: one term (e, c) to its image (e', c').
@@ -164,30 +89,6 @@ def dilation_map(ratio: float, prefactor: float) -> TermMap:
         raise ValueError(f"ratio must be positive, got {ratio}")
     lr = math.log(ratio)
     return lambda e, c: (e, c * prefactor * checked_exp(e * lr))
-
-
-def _apply(term_map: TermMap, s: ExpSeries) -> ExpSeries:
-    return ExpSeries.from_terms(term_map(e, c) for e, c in s.terms)
-
-
-def d_op(s: ExpSeries, params: DeformationParams) -> ExpSeries:
-    """Difference derivative: (e, c) -> (e - l/alpha, c * f_general(e))."""
-    return _apply(lower_map(params), s)
-
-
-def mult_op(s: ExpSeries, params: DeformationParams) -> ExpSeries:
-    """Multiplication by z**(l/alpha)."""
-    return _apply(raise_map(params), s)
-
-
-def euler_op(s: ExpSeries, params: DeformationParams) -> ExpSeries:
-    """Scaled Euler operator: (e, c) -> (e, c * alpha * e)."""
-    return _apply(number_map(params), s)
-
-
-def dilation_op(s: ExpSeries, ratio: float, prefactor: float) -> ExpSeries:
-    """z -> ratio*z rescaling with an overall prefactor."""
-    return _apply(dilation_map(ratio, prefactor), s)
 
 
 def _term_list_gaps(e: float, l: float, ql: float, pl: float, maps: tuple) -> tuple:
@@ -258,9 +159,9 @@ def check_realization(
     sum, the COEFF_PRUNE cut, a second two-term sum.  The gaps are formed
     with the monomial maps' own expressions, so they are bit for bit what
     the term lists give.  Where rounding moves an image off e, that
-    exponent goes through the term lists, normalized as the series
-    operators normalize, so near-equal exponents merge and images on
-    different exponents stay apart.  Residuals are scaled by the largest
+    exponent goes through the term lists, each side normalized by
+    _normalize, so near-equal exponents merge and images on different
+    exponents stay apart.  Residuals are scaled by the largest
     coefficient participating in the identity, so the reported numbers
     are relative to the natural size of the terms being cancelled.
     Raises ValueError when `exponents` is empty, where no relation would

@@ -35,8 +35,8 @@ No command imports numpy: hopf-check decides coassociativity on symbol
 words and runs its other checks on tuples and lists of floats.  Every
 command but hopf-solve and hopf-check imports no dataclasses either:
 every type it builds (Config here, DeformationParams, the reports,
-SpectrumTable, ExpSeries, Shift, FockRep) is a namedtuple or a plain
-class; those two build the HopfParams and HopfCoefficients dataclasses.
+SpectrumTable, Shift, FockRep) is a namedtuple; those two build the
+HopfParams and HopfCoefficients dataclasses.
 """
 
 from __future__ import annotations
@@ -57,7 +57,7 @@ from .params import (
     validate,
 )
 from .report import RESULT_HEADER, CheckEntry, CheckReport, peak, result_rows, results
-from .structure import ExponentOverflowError, brackets
+from .structure import ExponentOverflowError, affine_lattice, brackets
 
 _PARAM_KEYS = ("p", "q", "alpha", "beta", "l")
 _FLOAT_KEYS = _PARAM_KEYS + ("beta1", "beta2", "tol")
@@ -193,7 +193,7 @@ def _emit(payload: dict, cfg_fmt: str, out_path: str | None, table) -> None:
 
 def _cmd_numbers(cfg: Config, payload: dict):
     params = cfg.params
-    xs = [params.alpha * n + params.beta for n in range(cfg.n_max + 1)]
+    xs = affine_lattice(params.beta, params.alpha, cfg.n_max + 1, params)
     table = [{"n": n, "f": f} for n, f in enumerate(brackets(xs, params))]
     payload["table"] = table
     return (), (("n", "f"), [(row["n"], repr(row["f"])) for row in table])

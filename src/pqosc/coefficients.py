@@ -42,6 +42,7 @@ from .params import (  # the three errors are re-exported: they live in params
     validate,
 )
 from .report import CheckEntry, CheckReport
+from .structure import checked_exp
 
 
 @dataclass(frozen=True)
@@ -112,6 +113,14 @@ class HopfCoefficients:
         }
 
 
+def _exp(t: float) -> float:
+    """math.exp(t); where that overflows, ExponentOverflowError naming |t|."""
+    try:
+        return math.exp(t)
+    except OverflowError:
+        return checked_exp(t)  # t > 709 is past EXP_LIMIT: raises
+
+
 def solve_coefficients(hp: HopfParams) -> HopfCoefficients:
     """Solve the constraint system for the symmetric split a_i = alpha/2."""
     params = hp.base_params()
@@ -119,10 +128,10 @@ def solve_coefficients(hp: HopfParams) -> HopfCoefficients:
     lp = math.log(hp.p)
     lq = math.log(hp.q)
 
-    A = math.exp(0.5 * hp.alpha * hp.l * (lq - lp))
-    den = math.exp(-hp.beta1 * lp) - A * math.exp(-hp.beta2 * lp)
-    num = math.exp(hp.beta1 * lq) - A * math.exp(hp.beta2 * lq)
-    scale = max(1.0, math.exp(-hp.beta1 * lp), A * math.exp(-hp.beta2 * lp))
+    A = _exp(0.5 * hp.alpha * hp.l * (lq - lp))
+    den = _exp(-hp.beta1 * lp) - A * _exp(-hp.beta2 * lp)
+    num = _exp(hp.beta1 * lq) - A * _exp(hp.beta2 * lq)
+    scale = max(1.0, _exp(-hp.beta1 * lp), A * _exp(-hp.beta2 * lp))
     if abs(den) < 1e-14 * scale:
         raise ADegenerateError(f"p**(-beta1) - A*p**(-beta2) = {den:.3g} vanishes")
     R = num / den
@@ -142,10 +151,10 @@ def solve_coefficients(hp: HopfParams) -> HopfCoefficients:
         alpha4=half,
         A=A,
         gamma=gamma,
-        c1=math.exp(-half * gamma * lp),
-        c2=math.exp(half * gamma * lq),
-        c3=math.exp(-half * gamma * lp),
-        c4=math.exp(half * gamma * lq),
+        c1=_exp(-half * gamma * lp),
+        c2=_exp(half * gamma * lq),
+        c3=_exp(-half * gamma * lp),
+        c4=_exp(half * gamma * lq),
         c5=1.0,
         c6=1.0,
         c7=0.0,

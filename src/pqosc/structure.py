@@ -9,14 +9,15 @@ point and raises ExponentOverflowError where an exponent, or the value
 itself, leaves the double range.  brackets evaluates a whole lattice of
 points, bit for bit as bracket would, with the exponent guard checked
 once for the lattice; the ladder weights, the spectrum levels and the
-CLI's numbers table come from it.  The general five-parameter
-structure function is f(n) = bracket(alpha*n + beta).  The classical
-schemes that are this function at fixed parameters (Arik-Coon, the
-symmetric q-bracket and its generalized form, the plain two-base
-bracket and its generalized form) are catalogued as maps to their
-DeformationParams.  Only the undeformed oscillator and the generalized
-Arik-Coon scheme keep a formula of their own.  An independent
-finite-sum oracle for the test suite closes the module.
+CLI's numbers table come from it.  affine_lattice checks the guard at
+a lattice's end points before it forms the lattice.  The general
+five-parameter structure function is f(n) = bracket(alpha*n + beta).
+The classical schemes that are this function at fixed parameters
+(Arik-Coon, the symmetric q-bracket and its generalized form, the plain
+two-base bracket and its generalized form) are catalogued as maps to
+their DeformationParams.  Only the undeformed oscillator and the
+generalized Arik-Coon scheme keep a formula of their own.  An
+independent finite-sum oracle for the test suite closes the module.
 """
 
 from __future__ import annotations
@@ -112,6 +113,25 @@ def brackets(xs: Sequence[float], params: DeformationParams) -> list:
     if not math.isfinite(sum(values)):  # some entry is not finite, or the sum overflowed
         values = [v if v - v == 0.0 else bracket(x, params) for x, v in zip(xs, values)]
     return values
+
+
+def affine_lattice(start: float, step: float, count: int, params: DeformationParams) -> list:
+    """[start + step*k for k < count], formed once bracket's guard passes at its end points.
+
+    bracket's exponent guard grows with |x|, so the two end points decide
+    it.  Where one fails, the levels are evaluated in order, one at a
+    time, and the first failing level raises what brackets would raise on
+    the lattice, which is never formed.
+    """
+    if count > 0:
+        try:
+            bracket(start, params)
+            bracket(start + step * (count - 1), params)
+        except ExponentOverflowError:
+            for k in range(count):
+                bracket(start + step * k, params)
+            raise
+    return [start + step * k for k in range(count)]
 
 
 def f_general(n: float, params: DeformationParams) -> float:

@@ -13,6 +13,7 @@ import pytest
 
 from pqosc import bracket, brackets, check_realization, check_relations, spectrum_table, validate
 from pqosc.fock import build
+from pqosc.structure import ExponentOverflowError, affine_lattice
 
 # |pq - 1| from 1e-2 down to 1e-12; validate rejects 1 - 1e-12 (|ln pq| < 1e-12).
 DELTAS = [10.0 ** -e for e in range(2, 13)] + [-(10.0 ** -e) for e in range(2, 12)]
@@ -111,6 +112,34 @@ def test_brackets_is_bracket_across_the_guard(point, xs):
     """Bit for bit, and where the loop raises, the same error with the same message."""
     p, q, l = point
     assert same_as_scalar(xs, validate(p, q, 1.0, 0.0, l))
+
+
+@pytest.mark.parametrize(
+    "point, start, step, count, raises",
+    [
+        ((2.0, 3.0, 1.0), 0.0, 1.0, 638, False),
+        ((2.0, 3.0, 1.0), 0.0, 1.0, 639, True),
+        ((2.0, 3.0, 1.0), 0.0, 1.0, 10 ** 6, True),
+        ((2.0, 3.0, 1.0), 3.0, -2.0, 10 ** 6, True),
+        ((2.0, 3.0, 1.0), 700.0, -1.0, 100, True),
+        ((2.0, 3.0, 1.0), 0.0, 1.0, 0, False),
+        ((3.0, 0.5, 300.0), -440.0, -5.0, 8, True),
+        ((2.0, 0.5000000005, 0.01), -1000.0, -0.5, 10 ** 6, True),
+        ((2.0, 3.0, 1.0), math.nan, 1.0, 3, False),
+    ],
+    ids=["below-edge", "across-edge", "far-across-edge", "negative-step", "edge-first",
+         "empty", "value-overflow", "value-overflow-near-singular", "nan"],
+)
+def test_affine_lattice_raises_what_brackets_raises(point, start, step, count, raises):
+    """The first failing level's error, from a walk that stops there."""
+    params = validate(point[0], point[1], 1.0, 0.0, point[2])
+    lattice = [start + step * k for k in range(min(count, 2000))]  # holds the first failure
+    try:
+        xs = affine_lattice(start, step, count, params)
+    except ExponentOverflowError as exc:
+        assert raises and (type(exc).__name__, str(exc)) == outcome(lambda: brackets(lattice, params))
+    else:
+        assert not raises and [x.hex() for x in xs] == [x.hex() for x in lattice]
 
 
 def test_checks_pass_next_to_the_singular_surface():

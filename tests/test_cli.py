@@ -1,6 +1,8 @@
 import csv
 import io
 import json
+import tracemalloc
+from pathlib import Path
 
 import pytest
 
@@ -106,6 +108,22 @@ def test_rep_check_overflow_boundary(capsys, argv, code, err):
     assert (got[1] == "") == (code == 3)
 
 
+@pytest.mark.parametrize("argv", [
+    ["numbers", "--p", "2", "--q", "3", "--n-max", "3000000"],
+    ["rep-check", "--p", "2", "--q", "3", "--dim", "1000000"],
+], ids=["numbers", "rep-check"])
+def test_overflowing_lattice_exits_before_it_is_formed(capsys, argv):
+    # the first failing level is 638 either way; the lattice would hold millions
+    tracemalloc.start()
+    try:
+        got = run_capture(capsys, argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got == (3, "", "error: ExponentOverflowError: exponent magnitude 701 exceeds 700\n")
+    assert peak < 1_000_000
+
+
 def test_rep_check_grading_passes(capsys):
     code, out, _ = run_capture(
         capsys,
@@ -123,6 +141,42 @@ def test_calculus_check_passes(capsys):
     assert code == 0
     payload = json.loads(out)
     assert payload["metadata"]["exponents"] == [-3, -2, -1, 0, 1, 2, 3, 4, 5]
+
+
+GOLDEN = Path(__file__).parent / "golden"
+
+
+# At alpha = 0.3, six of the nine exponents fail the l/alpha round trip and
+# take the term-list path.
+@pytest.mark.parametrize("name, flags", [
+    ("calculus_check_p2_q3", []),
+    ("calculus_check_p2_q3_alpha0.3_l1", ["--alpha", "0.3", "--l", "1"]),
+], ids=["p2-q3", "alpha-0.3"])
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_calculus_check_golden(capsys, name, flags, fmt):
+    code, out, err = run_capture(capsys, [
+        "calculus-check", "--p", "2", "--q", "3", *flags, "--format", fmt, "--no-timestamp",
+    ])
+    assert (code, err) == (0, "")
+    assert out == (GOLDEN / f"{name}.{fmt}").read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize("beta", ["700", "1e10"])
+def test_hopf_solve_overflow_names_the_exponent(capsys, beta):
+    code, out, err = run_capture(capsys, [
+        "hopf-solve", "--p", "2", "--q", "3", "--beta1", beta, "--beta2", beta,
+    ])
+    assert (code, out) == (3, "")
+    assert err.startswith("error: ExponentOverflowError: exponent magnitude ")
+
+
+def test_hopf_solve_finite_powers_past_exp_limit_pass(capsys):
+    # q**645 = exp(708.6) and 2**-1100 = exp(-762) are finite doubles: the
+    # solve raises only where math.exp itself overflows
+    for flags in (["--p", "0.5", "--q", "3", "--beta1", "645"],
+                  ["--p", "2", "--q", "0.3", "--beta1", "1100"]):
+        code, _, err = run_capture(capsys, ["hopf-solve", *flags, "--beta2", "0"])
+        assert (code, err) == (0, "")
 
 
 @pytest.mark.parametrize("offset", ["inf", "-inf", "nan"])
