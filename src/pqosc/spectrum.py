@@ -39,7 +39,7 @@ from typing import TYPE_CHECKING
 
 from .params import DeformationParams, dual
 from .report import CheckEntry, CheckReport, peak
-from .structure import bracket, brackets
+from .structure import ExponentOverflowError, bracket, brackets
 
 if TYPE_CHECKING:  # annotations only
     from .fock import FockRep
@@ -83,12 +83,21 @@ def _level_brackets(params: DeformationParams, n_max: int) -> tuple[list, list]:
 
     One lattice in the order the per-level loop evaluates them, x_n before
     x_n + l, so a failing level raises what lambda_n at that level raises.
-    The result is kept on params for its n_max (see the module docstring);
-    callers only read it.
+    As in structure.affine_lattice, the end levels decide bracket's guard
+    before the lattice is formed; where one fails, the levels are walked
+    in order and the first failing one raises.  The result is kept on
+    params for its n_max (see the module docstring); callers only read it.
     """
     memo = params.__dict__.get("_level_brackets")
     if memo is not None and memo[0] == n_max:
         return memo[1], memo[2]
+    try:
+        lambda_n(0, params)
+        lambda_n(n_max, params)
+    except ExponentOverflowError:
+        for n in range(n_max + 1):
+            lambda_n(n, params)
+        raise
     alpha, beta, l = params.alpha, params.beta, params.l
     xs = [alpha * n + beta for n in range(n_max + 1)]
     lattice = xs * 2  # x_n at even, x_n + l at odd indices; 2-3x a nested comprehension's speed

@@ -108,19 +108,25 @@ def test_rep_check_overflow_boundary(capsys, argv, code, err):
     assert (got[1] == "") == (code == 3)
 
 
-@pytest.mark.parametrize("argv", [
-    ["numbers", "--p", "2", "--q", "3", "--n-max", "3000000"],
-    ["rep-check", "--p", "2", "--q", "3", "--dim", "1000000"],
-], ids=["numbers", "rep-check"])
-def test_overflowing_lattice_exits_before_it_is_formed(capsys, argv):
-    # the first failing level is 638 either way; the lattice would hold millions
+@pytest.mark.parametrize("argv, magnitude", [
+    (["numbers", "--p", "2", "--q", "3", "--n-max", "3000000"], 701),
+    (["rep-check", "--p", "2", "--q", "3", "--dim", "1000000"], 701),
+    (["spectrum", "--p", "2", "--q", "3", "--n-max", "3000000"], 701),
+    # x_6 + l = 650 fails before x_7 = 700, whose magnitude 769 numbers reports
+    (["spectrum", "--p", "2", "--q", "3", "--alpha", "100", "--l", "50",
+      "--n-max", "3000000"], 714),
+], ids=["numbers", "rep-check", "spectrum", "spectrum-alpha-100-l-50"])
+def test_overflowing_lattice_exits_before_it_is_formed(capsys, argv, magnitude):
+    # the first failing x is 638 (638 ln 3 = 700.9) unless the step jumps
+    # past it; the lattice would hold millions
     tracemalloc.start()
     try:
         got = run_capture(capsys, argv)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert got == (3, "", "error: ExponentOverflowError: exponent magnitude 701 exceeds 700\n")
+    err = f"error: ExponentOverflowError: exponent magnitude {magnitude} exceeds 700\n"
+    assert got == (3, "", err)
     assert peak < 1_000_000
 
 
@@ -158,6 +164,24 @@ def test_calculus_check_golden(capsys, name, flags, fmt):
         "calculus-check", "--p", "2", "--q", "3", *flags, "--format", fmt, "--no-timestamp",
     ])
     assert (code, err) == (0, "")
+    assert out == (GOLDEN / f"{name}.{fmt}").read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize("name, flags, want", [
+    ("hopf_check_p2_q3_b0.7_dim8",
+     ["--p", "2", "--q", "3", "--beta1", "0.7", "--beta2", "0.7", "--dim", "8"], 0),
+    # beta1 - beta2 = l: the homomorphism check runs and the transport gap fails it
+    ("hopf_check_p0.5_q3_alpha2_b1_b0_dim8",
+     ["--p", "0.5", "--q", "3", "--alpha", "2", "--beta1", "1", "--beta2", "0", "--dim", "8"], 1),
+    ("hopf_check_p0.5_q3_b2_dim64",
+     ["--p", "0.5", "--q", "3", "--beta1", "2", "--beta2", "2", "--dim", "64"], 1),
+], ids=["p2-q3", "transport", "dim64"])
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_hopf_check_golden(capsys, name, flags, want, fmt):
+    code, out, err = run_capture(capsys, [
+        "hopf-check", *flags, "--format", fmt, "--no-timestamp",
+    ])
+    assert (code, err) == (want, "")
     assert out == (GOLDEN / f"{name}.{fmt}").read_text(encoding="utf-8")
 
 

@@ -10,12 +10,13 @@ another order than BLAS does; they must agree within 1e-14 of the
 compared entries' scale.
 """
 
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
 from pqosc import (
+    HopfCoefficients,
     check_antipode,
     check_coassociativity,
     check_counit,
@@ -31,9 +32,10 @@ from pqosc.fock import build, tensor_blocks
 import dense_oracle
 
 GRID = [(p, q) for p in (0.5, 1.5, 2.0) for q in (0.3, 0.9, 3.0) if abs(p * q - 1.0) > 1e-9]
-# Every exponent is perturbed on its own: G1, H2, G3 and H4 share a
-# diagonal only where their exponents are equal.
-PERTURBED = ("c1", "c4", "gamma", "alpha1", "alpha2", "alpha3", "alpha4")
+# Every field is perturbed on its own: G1, H2, G3 and H4 share a diagonal
+# only where their exponents are equal, and a field that is zero at the
+# solve (c7, c8, c13) must move too, or a sign error in its term goes unseen.
+PERTURBED = tuple(f.name for f in fields(HopfCoefficients))
 
 
 def hopf_case(p, q, beta, dim):
@@ -80,7 +82,8 @@ def test_acceptance_grid_matches_dense(p, q, dim):
 @pytest.mark.parametrize("field", PERTURBED)
 def test_perturbed_coefficients_match_dense(field):
     hc, rep = hopf_case(2.0, 3.0, 0.7, 6)
-    assert_hopf_matches_dense(replace(hc, **{field: getattr(hc, field) * 1.01}), rep)
+    value = getattr(hc, field)
+    assert_hopf_matches_dense(replace(hc, **{field: value * 1.01 if value else 0.01}), rep)
 
 
 def test_dim_eight_matches_dense():
@@ -94,11 +97,12 @@ def test_tensor_blocks_layout_matches_kron():
     truncation is zero."""
     hc, rep = hopf_case(2.0, 3.0, 0.7, 5)
     d = rep.dim
-    ev = hopf._HopfEvaluator(rep, hc)
+    ops, delta, _, _, _ = hopf._symbols(rep, hc)
     dense = dense_oracle.DenseHopf(rep, hc)
     for gen in ("1", "a", "a+", "N"):
+        two_site = [(t, (ops[s1], ops[s2])) for t, (s1, s2) in delta[gen]]
         got = np.zeros((d * d, d * d))
-        for (o1, o2), entries in tensor_blocks(ev.two_site(gen), d).items():
+        for (o1, o2), entries in tensor_blocks(two_site, d).items():
             assert len(entries) == d * d
             for i, v in enumerate(entries):
                 k1, k2 = divmod(i, d)

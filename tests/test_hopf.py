@@ -18,7 +18,7 @@ from pqosc import (
     validate_hopf,
 )
 from pqosc import hopf
-from pqosc.fock import build
+from pqosc.fock import build, tensor_blocks
 from pqosc.params import ZeroAlphaError
 from pqosc.structure import EXP_LIMIT, ExponentOverflowError, bracket
 
@@ -272,6 +272,37 @@ def test_antipode_mutual_equality(rep8, solved):
     assert closure["a+"] > 1.0
 
 
+@pytest.mark.parametrize("p, q, alpha, l, beta1, beta2, dim", [
+    (2, 3, 1, 1, 0.7, 0.7, 8),
+    (0.5, 3, 2, 1, 1, 0, 8),
+    (0.5, 3, 1, 1, 2, 2, 64),
+    (1.5, 0.3, 0.5, 2, 0.3, 0.3, 16),
+    (0.5, 3, 2, 1, 1, 0, 40),
+])
+def test_antipode_ladder_closure_gaps_in_closed_form(p, q, alpha, l, beta1, beta2, dim):
+    # The solve gives c10 = c11 = c12 = -1 and c13 = 0, so S maps a to a and
+    # G3 to G3, and m(id (x) S)D(a) = c3 a G3 + c4 H4 a against eps(a) = 0.
+    # With a3 = a4 = alpha/2 its entry at input level k is sqrt(w_k) times
+    # p^(-(alpha gamma + x_k)/2) + q^((alpha gamma + x_{k-1})/2): two
+    # positive terms, nothing cancels.  a+ likewise, one level up.
+    hp = validate_hopf(p, q, alpha, l, beta1, beta2)
+    hc = solve_coefficients(hp)
+    rep = build(hp.base_params(), dim, x0=0.0)
+    closure = check_antipode(hc, rep).metadata["axiom_closure"]
+    g, w = alpha * hc.gamma, rep.weights
+    x = [l * k for k in range(dim)]
+    want_a = max(
+        math.sqrt(w[k]) * (p ** (-(g + x[k]) / 2) + q ** ((g + x[k - 1]) / 2))
+        for k in range(1, dim)
+    )
+    want_ad = max(
+        math.sqrt(w[k + 1]) * (p ** (-(g + x[k]) / 2) + q ** ((g + x[k + 1]) / 2))
+        for k in range(dim - 1)
+    )
+    assert abs(closure["a"] - want_a) <= 1e-13 * want_a
+    assert abs(closure["a+"] - want_ad) <= 1e-13 * want_ad
+
+
 def test_antipode_detects_perturbed_c10(rep8, solved):
     _, hc = solved
     report = check_antipode(replace(hc, c10=hc.c10 * 1.01), rep8, tol=1e-10)
@@ -301,10 +332,11 @@ def test_homomorphism_offset_gap_edge(gap, raises):
 def test_residual_rejects_a_cut_block(rep8, solved):
     # The antipode closure target for g = 1 is eps(1) on every level; one
     # cut to dim - 1 levels must be refused, not compared on the first dim - 1.
+    # S(1) = 1, so m(id (x) S)D(1) is the product of the two sites of D(1).
     _, hc = solved
-    ev = hopf._HopfEvaluator(rep8, hc)
-    m_id_s, _ = ev.antipode_sides("1")
-    target = [ev.eps["1"]] * rep8.dim
+    ops, delta, eps, _, _ = hopf._symbols(rep8, hc)
+    m_id_s = tensor_blocks([(t, (ops[s1] @ ops[s2],)) for t, (s1, s2) in delta["1"]], rep8.dim)
+    target = [eps["1"]] * rep8.dim
     closure = check_antipode(hc, rep8).metadata["axiom_closure"]["1"]
     assert hopf._residual(m_id_s, {(0,): target}) == closure
     with pytest.raises(ValueError, match="entries"):
