@@ -165,11 +165,14 @@ def check_realization(
     coefficient participating in the identity, so the reported numbers
     are relative to the natural size of the terms being cancelled.
     Raises ValueError when `exponents` is empty, where no relation would
-    be compared.
+    be compared, or holds a NaN or an infinity.
     """
     if len(exponents) == 0:
         raise ValueError("exponents must be nonempty")
     require_nonzero_alpha(params)
+    exponents = [float(e) for e in exponents]
+    if not all(map(math.isfinite, exponents)):
+        raise ValueError("exponents must be finite")
     p, q, alpha, beta, l = params.p, params.q, params.alpha, params.beta, params.l
     ql = q ** l
     pl = p ** (-l)
@@ -184,10 +187,9 @@ def check_realization(
 
     worst = [0.0] * 4
     for e in exponents:
-        e = float(e)
         up, down = e + shift, e - shift
-        # Exact round trips put every image at e; an infinite e would not merge.
-        if up - shift == e and down + shift == e and math.isfinite(e):
+        # Exact round trips put every image at e.
+        if up - shift == e and down + shift == e:
             fe = f_general(e, params)
             fu = f_general(up, params)
             # [N, a+] = l a+ at z**up: N a+ gives alpha*up, a+ N gives alpha*e
@@ -209,5 +211,5 @@ def check_realization(
         worst = [max(w, r) for w, r in zip(worst, gaps)]
 
     entries = tuple(CheckEntry(label, value, tol) for label, value in zip(_LABELS, worst))
-    metadata = {"params": params.as_dict(), "exponents": [float(e) for e in exponents]}
+    metadata = {"params": params.as_dict(), "exponents": exponents}
     return CheckReport("difference-realization", entries, metadata)

@@ -61,14 +61,7 @@ class HopfParams:
         return DeformationParams(self.p, self.q, self.alpha, 0.0, self.l)
 
     def as_dict(self) -> dict:
-        return {
-            "p": self.p,
-            "q": self.q,
-            "alpha": self.alpha,
-            "l": self.l,
-            "beta1": self.beta1,
-            "beta2": self.beta2,
-        }
+        return dict(vars(self))  # the fields in order; dataclasses.asdict deep-copies each one
 
 
 def validate_hopf(p, q, alpha, l, beta1, beta2) -> HopfParams:
@@ -102,15 +95,7 @@ class HopfCoefficients:
     c13: float
 
     def as_dict(self) -> dict:
-        return {
-            "alpha1": self.alpha1,
-            "alpha2": self.alpha2,
-            "alpha3": self.alpha3,
-            "alpha4": self.alpha4,
-            "A": self.A,
-            "gamma": self.gamma,
-            **{f"c{i}": getattr(self, f"c{i}") for i in range(1, 14)},
-        }
+        return dict(vars(self))  # the fields in order; dataclasses.asdict deep-copies each one
 
 
 def _exp(t: float) -> float:

@@ -45,7 +45,7 @@ from .params import (
     NotLowestWeightError,
 )
 from .report import CheckEntry, CheckReport, peak
-from .structure import affine_lattice, brackets, checked_exp
+from .structure import brackets, checked_exp
 
 _LOWEST_WEIGHT_TOL = 1e-12
 _NEGATIVE_WEIGHT_TOL = 1e-14
@@ -161,8 +161,8 @@ def build(
     nu0 = float(nu0)
 
     l = params.l
-    x = affine_lattice(x0, l, dim + 1, params)
-    weights = tuple(brackets(x, params))
+    x, weights = brackets(x0, l, dim + 1, params)
+    weights = tuple(weights)
     scale = max(1.0, peak(weights))
     if not (-_NEGATIVE_WEIGHT_TOL * scale <= weights[0] <= _LOWEST_WEIGHT_TOL * scale):
         raise NotLowestWeightError(

@@ -16,8 +16,8 @@ verified numerically here; the truncated matrix representation provides
 the independent cross-check through its diagonal Hamiltonian.
 
 lambda_n and lambda_forms evaluate one level.  spectrum_table and
-check_pq_inversion evaluate all levels 0..n_max at once: the brackets
-at x_n and x_n + l form one lattice for structure.brackets, in the
+check_pq_inversion evaluate all levels 0..n_max at once: one
+structure.brackets call evaluates the lattice x_n shifted by l, in the
 order the per-level loop takes them, so every value, and the error a
 level that leaves the double range raises, is the per-level loop's.
 Their reductions keep NaN (report.peak), so a level that overflows
@@ -39,7 +39,7 @@ from typing import TYPE_CHECKING
 
 from .params import DeformationParams, dual
 from .report import CheckEntry, CheckReport, peak
-from .structure import ExponentOverflowError, bracket, brackets
+from .structure import bracket, brackets
 
 if TYPE_CHECKING:  # annotations only
     from .fock import FockRep
@@ -81,29 +81,15 @@ class SpectrumTable(namedtuple("SpectrumTable", "params rows")):
 def _level_brackets(params: DeformationParams, n_max: int) -> tuple[list, list]:
     """The x_n = alpha*n + beta of levels 0..n_max and their bracket(x_n), bracket(x_n + l).
 
-    One lattice in the order the per-level loop evaluates them, x_n before
-    x_n + l, so a failing level raises what lambda_n at that level raises.
-    As in structure.affine_lattice, the end levels decide bracket's guard
-    before the lattice is formed; where one fails, the levels are walked
-    in order and the first failing one raises.  The result is kept on
+    One structure.brackets lattice, shifted by l, so the values come in
+    the per-level loop's order, x_n before x_n + l, and a failing level
+    raises what lambda_n at that level raises.  The result is kept on
     params for its n_max (see the module docstring); callers only read it.
     """
     memo = params.__dict__.get("_level_brackets")
     if memo is not None and memo[0] == n_max:
         return memo[1], memo[2]
-    try:
-        lambda_n(0, params)
-        lambda_n(n_max, params)
-    except ExponentOverflowError:
-        for n in range(n_max + 1):
-            lambda_n(n, params)
-        raise
-    alpha, beta, l = params.alpha, params.beta, params.l
-    xs = [alpha * n + beta for n in range(n_max + 1)]
-    lattice = xs * 2  # x_n at even, x_n + l at odd indices; 2-3x a nested comprehension's speed
-    lattice[0::2] = xs
-    lattice[1::2] = [x + l for x in xs]
-    w = brackets(lattice, params)
+    xs, w = brackets(params.beta, params.alpha, n_max + 1, params, params.l)
     params.__dict__["_level_brackets"] = (n_max, xs, w)
     return xs, w
 

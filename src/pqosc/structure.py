@@ -6,11 +6,12 @@ The central object is the two-base bracket
 
 an analytic function of a real argument x.  bracket evaluates one
 point and raises ExponentOverflowError where an exponent, or the value
-itself, leaves the double range.  brackets evaluates a whole lattice of
-points, bit for bit as bracket would, with the exponent guard checked
-once for the lattice; the ladder weights, the spectrum levels and the
-CLI's numbers table come from it.  affine_lattice checks the guard at
-a lattice's end points before it forms the lattice.  The general
+itself, leaves the double range.  brackets evaluates a whole affine
+lattice start + step*k, bit for bit as bracket would, with the exponent
+guard decided at the lattice's end points before the lattice is formed;
+with a shift it also evaluates each point moved by it, in the order
+x_k, x_k + shift.  The ladder weights, the spectrum levels and the
+CLI's numbers table each come from one call.  The general
 five-parameter structure function is f(n) = bracket(alpha*n + beta).
 The classical schemes that are this function at fixed parameters
 (Arik-Coon, the symmetric q-bracket and its generalized form, the plain
@@ -23,7 +24,6 @@ independent finite-sum oracle for the test suite closes the module.
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
 
 from .params import DeformationParams, validate
 
@@ -82,56 +82,51 @@ def bracket(x: float, params: DeformationParams) -> float:
     return math.copysign(magnitude, num) * math.copysign(1.0, den)
 
 
-def brackets(xs: Sequence[float], params: DeformationParams) -> list:
-    """[bracket(x, params) for x in xs], bit for bit, evaluated as one lattice.
+def brackets(
+    start: float, step: float, count: int, params: DeformationParams, shift: float | None = None
+) -> tuple[list, list]:
+    """The lattice x_k = start + step*k, k < count, and its brackets, bit for bit bracket's.
 
-    The exponent guard is checked once: for the largest |x|, and for the
-    range of the exponent h, which is monotone in x, at the smallest and
-    the largest x.  Each value is then formed with bracket's own
-    expression; an entry that comes out non-finite goes through bracket.
-    Where the guard fails anywhere, every entry goes through bracket in
-    order, so the first failing x raises what the loop would raise.
+    Returns (xs, values).  Without shift, values[k] = bracket(xs[k]); with
+    it, values holds bracket(x_k) then bracket(x_k + shift) for each k.
+    bracket's exponent guard grows with |x| and its exponent h is
+    monotone in x, so the end points, two or four, decide both for the
+    whole lattice before any of it is formed.  Each value is then formed
+    with bracket's own expression; an entry that comes out non-finite
+    goes through bracket.  Where the guard fails at an end, the points
+    are formed and go through bracket one at a time in that order, so
+    the first failing point raises what the per-point loop would raise,
+    and no point past it is formed.
     """
-    if not xs:
-        return []
     ln_q_over_p, half_ln_pq, den, al, worst_ln = params.bracket_constants
     l = params.l
-    lo, hi = min(xs), max(xs)
-    ax = -lo if -lo > hi else hi
-    worst = (ax if ax > al else al) * worst_ln
-    h_lo = 0.5 * (lo - l) * ln_q_over_p
-    h_hi = 0.5 * (hi - l) * ln_q_over_p
-    # Written so that a NaN bound takes the scalar loop.
-    if not (
-        worst <= EXP_LIMIT
-        and -EXP_LIMIT <= h_lo <= EXP_LIMIT
-        and -EXP_LIMIT <= h_hi <= EXP_LIMIT
-    ):
-        return [bracket(x, params) for x in xs]
+    last = start + step * (count - 1)
+    ends = (start, last) if shift is None else (start, start + shift, last, last + shift)
+    # Written so that a NaN end point fails.
+    fits = al * worst_ln <= EXP_LIMIT and all(
+        abs(x) * worst_ln <= EXP_LIMIT and -EXP_LIMIT <= 0.5 * (x - l) * ln_q_over_p <= EXP_LIMIT
+        for x in ends
+    )
+    if not fits:
+        xs, values = [], []
+        for k in range(count):
+            x = start + step * k
+            xs.append(x)
+            values.append(bracket(x, params))
+            if shift is not None:
+                values.append(bracket(x + shift, params))
+        return xs, values
+    xs = [start + step * k for k in range(count)]
+    lattice = xs
+    if shift is not None:
+        lattice = xs * 2  # x_k at even, x_k + shift at odd indices; 2-3x a nested comprehension's speed
+        lattice[0::2] = xs
+        lattice[1::2] = [x + shift for x in xs]
     exp, sinh = math.exp, math.sinh
-    values = [exp(0.5 * (x - l) * ln_q_over_p) * sinh(x * half_ln_pq) / den for x in xs]
+    values = [exp(0.5 * (x - l) * ln_q_over_p) * sinh(x * half_ln_pq) / den for x in lattice]
     if not math.isfinite(sum(values)):  # some entry is not finite, or the sum overflowed
-        values = [v if v - v == 0.0 else bracket(x, params) for x, v in zip(xs, values)]
-    return values
-
-
-def affine_lattice(start: float, step: float, count: int, params: DeformationParams) -> list:
-    """[start + step*k for k < count], formed once bracket's guard passes at its end points.
-
-    bracket's exponent guard grows with |x|, so the two end points decide
-    it.  Where one fails, the levels are evaluated in order, one at a
-    time, and the first failing level raises what brackets would raise on
-    the lattice, which is never formed.
-    """
-    if count > 0:
-        try:
-            bracket(start, params)
-            bracket(start + step * (count - 1), params)
-        except ExponentOverflowError:
-            for k in range(count):
-                bracket(start + step * k, params)
-            raise
-    return [start + step * k for k in range(count)]
+        values = [v if v - v == 0.0 else bracket(x, params) for x, v in zip(lattice, values)]
+    return xs, values
 
 
 def f_general(n: float, params: DeformationParams) -> float:

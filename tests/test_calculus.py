@@ -1,3 +1,4 @@
+import math
 from itertools import product
 
 import pytest
@@ -81,6 +82,9 @@ def test_check_realization_zero_alpha():
 def test_check_realization_needs_an_exponent(base_params):
     with pytest.raises(ValueError):
         check_realization(base_params, [])
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="exponents must be finite"):
+            check_realization(base_params, [1.0, bad])
 
 
 def test_matches_fock_weights(base_params):

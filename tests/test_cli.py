@@ -52,14 +52,16 @@ def test_hopf_solve_gamma_undefined_exit_three(capsys):
 
 
 def test_numbers_overflow_boundary_exit_three(capsys):
-    # q**n needs n ln 3 <= EXP_LIMIT = 700: n = 637 gives 699.8, n = 638 gives 700.9
-    code, out, _ = run_capture(capsys, ["numbers", "--p", "2", "--q", "3", "--n-max", "637"])
-    assert code == 0
-    assert len(json.loads(out)["table"]) == 638
-    code, out, err = run_capture(capsys, ["numbers", "--p", "2", "--q", "3", "--n-max", "638"])
-    assert code == 3
-    assert out == ""
-    assert "ExponentOverflowError" in err
+    # q**x needs x ln 3 <= EXP_LIMIT = 700: x = 637 gives 699.8, x = 638 gives 700.9.
+    # numbers reaches x = n_max, spectrum x = n_max + l.
+    for command, last_good, key in (("numbers", 637, "table"), ("spectrum", 636, "results")):
+        argv = [command, "--p", "2", "--q", "3", "--no-timestamp", "--n-max"]
+        code, out, _ = run_capture(capsys, argv + [str(last_good)])
+        assert code == 0, command
+        assert json.loads(out)[key]
+        code, out, err = run_capture(capsys, argv + [str(last_good + 1)])
+        assert (code, out) == (3, ""), command
+        assert err == "error: ExponentOverflowError: exponent magnitude 701 exceeds 700\n", command
 
 
 BRACKET_OVERFLOW = "ExponentOverflowError: bracket(-1009) = exp(710.914) exceeds the double range"

@@ -148,7 +148,10 @@ def bits(values):
 
 
 def test_ladder_weights_on_special_values_bit_for_bit(base_params, monkeypatch):
-    monkeypatch.setattr(fock, "brackets", lambda xs, params: SPECIAL_WEIGHTS[: len(xs)])
+    def special_brackets(start, step, count, params):
+        return [start + step * k for k in range(count)], SPECIAL_WEIGHTS[:count]
+
+    monkeypatch.setattr(fock, "brackets", special_brackets)
     dim = len(SPECIAL_WEIGHTS) - 1
     rep = build(base_params, dim)
     want = [0.0] + [math.sqrt(max(w, 0.0)) for w in SPECIAL_WEIGHTS[1:dim]]

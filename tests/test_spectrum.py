@@ -171,6 +171,8 @@ def test_lattice_spectrum_equals_the_per_level_forms(point):
     (3.0, 2.0, -0.6, 0.0, 1.1),
     (3.0, 0.5, 1.0, 0.0, 300.0),
     (2.0, 0.5000000005, -1.0, -1000.0, 0.01),  # a value leaves the double range first
+    # the dual's guard fails first, at x = 203 (level 202), and params' at x = 204
+    (1.0001, 31.446128080475482, 1.0, 0.0, 1.0),
 ])
 @pytest.mark.parametrize("n_max", [300, 700])
 def test_lattice_spectrum_raises_what_the_per_level_loop_raises(point, n_max):
