@@ -35,8 +35,8 @@ No command imports numpy: hopf-check decides coassociativity on symbol
 words and runs its other checks on tuples and lists of floats.  Every
 command but hopf-solve and hopf-check imports no dataclasses either:
 every type it builds (Config here, DeformationParams, the reports,
-SpectrumTable, Shift, FockRep) is a namedtuple; those two build the
-HopfParams and HopfCoefficients dataclasses.
+SpectrumTable, Shift, FockRep, HopfParams) is a namedtuple; those two
+build the HopfCoefficients dataclass.
 """
 
 from __future__ import annotations

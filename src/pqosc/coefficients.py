@@ -30,6 +30,7 @@ same constants are in hopf.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 
 from .params import (  # the three errors are re-exported: they live in params
@@ -45,23 +46,17 @@ from .report import CheckEntry, CheckReport
 from .structure import checked_exp
 
 
-@dataclass(frozen=True)
-class HopfParams:
+class HopfParams(namedtuple("HopfParams", "p q alpha l beta1 beta2")):
     """Algebra data for the coefficient solve: bases, slope, step, offsets."""
 
-    p: float
-    q: float
-    alpha: float
-    l: float
-    beta1: float
-    beta2: float
+    __slots__ = ()
 
     def base_params(self) -> DeformationParams:
         """Offset-free deformation tuple used to build representations."""
         return DeformationParams(self.p, self.q, self.alpha, 0.0, self.l)
 
     def as_dict(self) -> dict:
-        return dict(vars(self))  # the fields in order; dataclasses.asdict deep-copies each one
+        return self._asdict()
 
 
 def validate_hopf(p, q, alpha, l, beta1, beta2) -> HopfParams:

@@ -45,7 +45,7 @@ from .params import (
     NotLowestWeightError,
 )
 from .report import CheckEntry, CheckReport, peak
-from .structure import brackets, checked_exp
+from .structure import brackets, checked_exps
 
 _LOWEST_WEIGHT_TOL = 1e-12
 _NEGATIVE_WEIGHT_TOL = 1e-14
@@ -57,18 +57,6 @@ def _shifted(w: tuple, off: int) -> tuple:
     if off >= 0:
         return w[off:] + (0.0,) * min(off, n)
     return (0.0,) * min(-off, n) + w[: max(n + off, 0)]
-
-
-def _exps(t: list) -> tuple:
-    """exp of each entry of an exponent lattice, under checked_exp's guard.
-
-    The lattice is affine in the level and rounding is monotone, so its
-    largest |t| sits at one end: guarding that end raises what guarding
-    every entry would, with the same magnitude in the message.
-    """
-    if t:
-        checked_exp(max(abs(t[0]), abs(t[-1])))
-    return tuple(map(math.exp, t))
 
 
 def tensor_blocks(terms: Sequence[tuple], keep: int) -> dict:
@@ -184,8 +172,8 @@ def build(
         "a": Shift(-1, lower),
         "a+": Shift(1, _shifted(lower, 1)),
         "N": Shift(0, tuple([nu0 + l * k for k in range(dim)])),
-        "P": Shift(0, _exps([-t * lp for t in x])),
-        "Q": Shift(0, _exps([t * lq for t in x])),
+        "P": Shift(0, checked_exps([-t * lp for t in x])),
+        "Q": Shift(0, checked_exps([t * lq for t in x])),
     }
     return FockRep(params, dim, x0, nu0, weights, ops)
 
@@ -215,8 +203,8 @@ def check_relations(rep: FockRep, mode: str = "grading", tol: float = 1e-10) -> 
     else:
         expo = [params.alpha * (rep.nu0 + l * k) + params.beta for k in range(rep.dim)]
         lp, lq = math.log(params.p), math.log(params.q)
-        p_gen = _exps([-t * lp for t in expo])
-        q_gen = _exps([t * lq for t in expo])
+        p_gen = checked_exps([-t * lp for t in expo])
+        q_gen = checked_exps([t * lq for t in expo])
 
     a, ad, n = rep.ops["a"].weights, rep.ops["a+"].weights, rep.ops["N"].weights
     ql = params.q ** l

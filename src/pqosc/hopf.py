@@ -46,7 +46,8 @@ from .coefficients import (  # noqa: F401  (re-exported: the scalar half of the 
 )
 from .params import require_nonzero_alpha
 from .report import CheckEntry, CheckReport, peak
-from .fock import FockRep, Shift, _exps, tensor_blocks
+from .fock import FockRep, Shift, tensor_blocks
+from .structure import checked_exps
 
 # ---------------------------------------------------------------------------
 # Tensor-product evaluation
@@ -80,10 +81,10 @@ def _symbols(rep: FockRep, hc: HopfCoefficients) -> tuple:
     ops maps each symbol to its shift, delta each symbol to its coproduct
     [(coef, (s1, s2))], eps each symbol to its counit.  xt is the lattice
     of a bare N exponent: the slot alpha*N carries x_k, so a factor
-    base^(s N) is diag(base^(s x_k / alpha)), evaluated by fock._exps,
-    which raises ExponentOverflowError where an exponent leaves
-    EXP_LIMIT.  factors maps each exponential factor to its
-    (base, ln base, s).
+    base^(s N) is diag(base^(s x_k / alpha)), evaluated by
+    structure.checked_exps, which raises ExponentOverflowError where an
+    exponent leaves EXP_LIMIT.  factors maps each exponential factor to
+    its (base, ln base, s).
     """
     require_nonzero_alpha(rep.params)
     p, q = rep.params.p, rep.params.q
@@ -96,7 +97,8 @@ def _symbols(rep: FockRep, hc: HopfCoefficients) -> tuple:
         "H4": (q, lq, hc.alpha4),
     }
     ops = {s: rep.ops[s] for s in ("1", "a", "a+", "N")}
-    ops.update({f: Shift(0, _exps([s * x * ln for x in xt])) for f, (_, ln, s) in factors.items()})
+    for f, (_, ln, s) in factors.items():
+        ops[f] = Shift(0, checked_exps([s * x * ln for x in xt]))
     delta = {
         "1": [(1.0, ("1", "1"))],
         "a+": [(hc.c1, ("a+", "G1")), (hc.c2, ("H2", "a+"))],
@@ -214,7 +216,7 @@ def check_antipode(hc: HopfCoefficients, rep: FockRep, tol: float = 1e-10) -> Ch
     }
     for f, (base, ln, s) in factors.items():
         pre, e = base ** (s * hc.c13), -s * hc.c12
-        sops[f] = Shift(0, tuple([pre * v for v in _exps([e * x * ln for x in xt])]))
+        sops[f] = Shift(0, tuple([pre * v for v in checked_exps([e * x * ln for x in xt])]))
     entries = []
     closure = {}
     for g in ("a", "a+", "N", "1"):

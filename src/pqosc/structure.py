@@ -1,24 +1,23 @@
-"""Structure functions of the deformed oscillator schemes.
+"""Structure functions of the deformed oscillator schemes, and the exponent guard.
 
-The central object is the two-base bracket
+The guard is EXP_LIMIT: checked_exp applies it to one exponent,
+checked_exps to an affine exponent lattice at its ends, bracket to its
+four exponents; all raise ExponentOverflowError.  The two-base bracket is
 
     bracket(x) = (p**(-x) - q**x) / (p**(-l) - q**l),
 
-an analytic function of a real argument x.  bracket evaluates one
-point and raises ExponentOverflowError where an exponent, or the value
-itself, leaves the double range.  brackets evaluates a whole affine
-lattice start + step*k, bit for bit as bracket would, with the exponent
-guard decided at the lattice's end points before the lattice is formed;
-with a shift it also evaluates each point moved by it, in the order
-x_k, x_k + shift.  The ladder weights, the spectrum levels and the
-CLI's numbers table each come from one call.  The general
+an analytic function of a real argument x.  bracket evaluates one point,
+raising also where its value leaves the double range.  brackets
+evaluates a whole affine lattice start + step*k, bit for bit as bracket
+would, with the guard decided at its end points before it is formed;
+with a shift, it evaluates x_k and x_k + shift in turn.  The general
 five-parameter structure function is f(n) = bracket(alpha*n + beta).
 The classical schemes that are this function at fixed parameters
 (Arik-Coon, the symmetric q-bracket and its generalized form, the plain
-two-base bracket and its generalized form) are catalogued as maps to
-their DeformationParams.  Only the undeformed oscillator and the
-generalized Arik-Coon scheme keep a formula of their own.  An
-independent finite-sum oracle for the test suite closes the module.
+two-base bracket and its generalized form) are maps to their
+DeformationParams; only the undeformed oscillator and the generalized
+Arik-Coon scheme keep a formula of their own.  An independent finite-sum
+oracle closes the module.
 """
 
 from __future__ import annotations
@@ -35,11 +34,27 @@ class ExponentOverflowError(ArithmeticError):
     """An exponential magnitude left the double-precision range."""
 
 
+def _past_limit(magnitude: float) -> ExponentOverflowError:
+    """The guard's error; repr keeps a magnitude just past EXP_LIMIT above it."""
+    return ExponentOverflowError(f"exponent magnitude {magnitude!r} exceeds {EXP_LIMIT:g}")
+
+
 def checked_exp(t: float) -> float:
     """exp(t); raises ExponentOverflowError when |t| exceeds EXP_LIMIT."""
     if abs(t) > EXP_LIMIT:
-        raise ExponentOverflowError(f"exponent magnitude {abs(t):.3g} exceeds {EXP_LIMIT:g}")
+        raise _past_limit(abs(t))
     return math.exp(t)
+
+
+def checked_exps(t: list) -> tuple:
+    """checked_exp of each entry of an affine exponent lattice, guarded at its ends.
+
+    Rounding is monotone, so the largest |t| sits at one end: guarding that
+    end raises what guarding every entry would, magnitude and message included.
+    """
+    if t:
+        checked_exp(max(abs(t[0]), abs(t[-1])))
+    return tuple(map(math.exp, t))
 
 
 def bracket(x: float, params: DeformationParams) -> float:
@@ -62,7 +77,7 @@ def bracket(x: float, params: DeformationParams) -> float:
     ax = abs(x)
     worst = (ax if ax > al else al) * worst_ln
     if worst > EXP_LIMIT:
-        raise ExponentOverflowError(f"exponent magnitude {worst:.3g} exceeds {EXP_LIMIT:g}")
+        raise _past_limit(worst)
     h = 0.5 * (x - params.l) * ln_q_over_p
     if -EXP_LIMIT <= h <= EXP_LIMIT:
         value = math.exp(h) * math.sinh(x * half_ln_pq) / den

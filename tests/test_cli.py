@@ -51,6 +51,10 @@ def test_hopf_solve_gamma_undefined_exit_three(capsys):
     assert "GammaUndefined" in err
 
 
+# The guard's message at x = 638 for q = 3: the magnitude 638 ln 3 in full
+AT_638 = "error: ExponentOverflowError: exponent magnitude 700.9146401702541 exceeds 700\n"
+
+
 def test_numbers_overflow_boundary_exit_three(capsys):
     # q**x needs x ln 3 <= EXP_LIMIT = 700: x = 637 gives 699.8, x = 638 gives 700.9.
     # numbers reaches x = n_max, spectrum x = n_max + l.
@@ -61,7 +65,17 @@ def test_numbers_overflow_boundary_exit_three(capsys):
         assert json.loads(out)[key]
         code, out, err = run_capture(capsys, argv + [str(last_good + 1)])
         assert (code, out) == (3, ""), command
-        assert err == "error: ExponentOverflowError: exponent magnitude 701 exceeds 700\n", command
+        assert err == AT_638, command
+
+
+def test_overflow_message_prints_the_magnitude_past_the_limit(capsys):
+    # x = alpha * n_max = 637.2 needs 637.2 ln 3 = 700.036
+    argv = ["numbers", "--p", "2", "--q", "3", "--alpha", "637.2", "--n-max", "1"]
+    code, out, err = run_capture(capsys, argv)
+    assert (code, out) == (3, "")
+    prefix = "error: ExponentOverflowError: exponent magnitude "
+    assert err.startswith(prefix)
+    assert float(err[len(prefix):].split()[0]) > 700.0
 
 
 BRACKET_OVERFLOW = "ExponentOverflowError: bracket(-1009) = exp(710.914) exceeds the double range"
@@ -98,9 +112,9 @@ def test_rep_check_literal_alpha_two_fails(capsys):
 @pytest.mark.parametrize("argv, code, err", [
     # the message names the largest exponent of the literal Q lattice, 798 ln 3
     (["--alpha", "2", "--dim", "400", "--mode", "literal"], 3,
-     "error: ExponentOverflowError: exponent magnitude 877 exceeds 700\n"),
+     "error: ExponentOverflowError: exponent magnitude 876.6926063571516 exceeds 700\n"),
     # w_dim = bracket(638) needs 638 ln 3 = 700.9
-    (["--dim", "638"], 3, "error: ExponentOverflowError: exponent magnitude 701 exceeds 700\n"),
+    (["--dim", "638"], 3, AT_638),
     (["--dim", "637"], 0, ""),
 ], ids=["literal-dim-400", "dim-638", "dim-637"])
 def test_rep_check_overflow_boundary(capsys, argv, code, err):
@@ -111,12 +125,12 @@ def test_rep_check_overflow_boundary(capsys, argv, code, err):
 
 
 @pytest.mark.parametrize("argv, magnitude", [
-    (["numbers", "--p", "2", "--q", "3", "--n-max", "3000000"], 701),
-    (["rep-check", "--p", "2", "--q", "3", "--dim", "1000000"], 701),
-    (["spectrum", "--p", "2", "--q", "3", "--n-max", "3000000"], 701),
+    (["numbers", "--p", "2", "--q", "3", "--n-max", "3000000"], "700.9146401702541"),
+    (["rep-check", "--p", "2", "--q", "3", "--dim", "1000000"], "700.9146401702541"),
+    (["spectrum", "--p", "2", "--q", "3", "--n-max", "3000000"], "700.9146401702541"),
     # x_6 + l = 650 fails before x_7 = 700, whose magnitude 769 numbers reports
     (["spectrum", "--p", "2", "--q", "3", "--alpha", "100", "--l", "50",
-      "--n-max", "3000000"], 714),
+      "--n-max", "3000000"], "714.0979876342714"),
 ], ids=["numbers", "rep-check", "spectrum", "spectrum-alpha-100-l-50"])
 def test_overflowing_lattice_exits_before_it_is_formed(capsys, argv, magnitude):
     # the first failing x is 638 (638 ln 3 = 700.9) unless the step jumps

@@ -107,21 +107,35 @@ def test_only_a_json_report_loads_datetime(fmt, stamped):
     assert ('"timestamp"' in proc.stdout) == stamped
 
 
-def test_no_module_imports_numpy():
-    """No import statement in the package names numpy, at any depth: one
-    inside a function or under TYPE_CHECKING counts too."""
+def package_imports():
+    """(path, node) for every import statement in the package, at any depth."""
     paths = sorted((SRC / "pqosc").glob("*.py"))
     assert paths
     for path in paths:
         for node in ast.walk(ast.parse(path.read_text(), str(path))):
-            if isinstance(node, ast.Import):
-                names = [alias.name for alias in node.names]
-            elif isinstance(node, ast.ImportFrom):
-                names = [node.module or ""]
-            else:
-                continue
-            numpy = [n for n in names if n == "numpy" or n.startswith("numpy.")]
-            assert not numpy, f"{path.name}:{node.lineno} imports {numpy}"
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                yield path, node
+
+
+def test_no_module_imports_numpy():
+    """No import statement in the package names numpy, at any depth: one
+    inside a function or under TYPE_CHECKING counts too."""
+    for path, node in package_imports():
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        else:
+            names = [node.module or ""]
+        numpy = [n for n in names if n == "numpy" or n.startswith("numpy.")]
+        assert not numpy, f"{path.name}:{node.lineno} imports {numpy}"
+
+
+def test_no_module_imports_a_private_name_of_another():
+    """No pqosc module imports an underscore name from a sibling: what one
+    module shares with another is public there."""
+    for path, node in package_imports():
+        if isinstance(node, ast.ImportFrom) and (node.level or node.module.startswith("pqosc")):
+            private = [alias.name for alias in node.names if alias.name.startswith("_")]
+            assert not private, f"{path.name}:{node.lineno} imports {private}"
 
 
 def test_public_names_resolve():

@@ -14,6 +14,7 @@ from pqosc import (
     biedenharn_macfarlane,
     bm_symmetric_generalized,
     bracket,
+    check_pq_inversion,
     checked_exp,
     dual,
     f_general,
@@ -164,6 +165,20 @@ def test_checked_exp_scalar_and_array():
     for bad in (math.nextafter(700.0, math.inf), -701.0):
         with pytest.raises(ExponentOverflowError):
             checked_exp(bad)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: checked_exp(700.3),
+    lambda: bracket(637.2, validate(2, 3, 1, 0, 1)),  # 637.2 ln 3 = 700.036
+    # the dual lattice's first failing level is 1e-13 past the limit
+    lambda: check_pq_inversion(validate(1.0001, 31.446128080475482, 1, 0, 1), 300),
+], ids=["checked_exp", "bracket", "check_pq_inversion"])
+def test_guard_message_prints_the_magnitude_past_the_limit(call):
+    """A magnitude in (700, 700.5) prints as a number above 700, not
+    rounded down to the limit it exceeds."""
+    with pytest.raises(ExponentOverflowError, match=r"^exponent magnitude \S+ exceeds 700$") as info:
+        call()
+    assert float(str(info.value).split()[2]) > 700.0
 
 
 def test_zero_locus():
