@@ -5,8 +5,35 @@ import pytest
 
 from pqosc import ZeroAlphaError, check_realization, f_general, validate
 from pqosc import calculus
-from pqosc.calculus import _max_abs_coeff, _normalize, dilation_map, lower_map, number_map, raise_map
+from pqosc.calculus import COEFF_PRUNE, dilation_map, lower_map, number_map, raise_map
 from pqosc.fock import build
+
+
+# The term-list reference.  A term list is a tuple of float (exponent,
+# coefficient) pairs; composed term lists stand in for series.  Exponents
+# are equal iff |e1 - e2| <= EXPONENT_TOL * (1 + |e1|).
+EXPONENT_TOL = 1e-12
+
+
+def _normalize(pairs):
+    """(exponent, coefficient) pairs sorted, near-equal exponents merged, tiny terms pruned."""
+    kept = []
+    e0 = c0 = None  # the group being merged: its first exponent, its summed coefficient
+    for e, c in sorted(pairs):
+        if c0 is not None:
+            if abs(e - e0) <= EXPONENT_TOL * (1.0 + abs(e)):
+                c0 += c
+                continue
+            if abs(c0) >= COEFF_PRUNE:
+                kept.append((e0, c0))
+        e0, c0 = e, c
+    if c0 is not None and abs(c0) >= COEFF_PRUNE:
+        kept.append((e0, c0))
+    return tuple(kept)
+
+
+def _max_abs_coeff(terms):
+    return max([abs(c) for _, c in terms], default=0.0)
 
 
 def test_series_merges_duplicate_exponents():
@@ -118,7 +145,12 @@ def _sub(s, t):
 
 
 def series_residuals(params, exponents):
-    """The four realization residuals composed on normalized term lists."""
+    """The four realization residuals composed on normalized term lists.
+
+    The reference agrees with check_realization, bit for bit, only where
+    every image stays within EXPONENT_TOL of its exponent: an image that
+    drifts further no longer merges with the terms it cancels.
+    """
     p, q, alpha, beta, l = params.p, params.q, params.alpha, params.beta, params.l
     ql, pl = q ** l, p ** (-l)
     a, a_dag, n_op = lower_map(params), raise_map(params), number_map(params)
@@ -149,10 +181,11 @@ def series_residuals(params, exponents):
 
 
 def test_check_realization_matches_series_composition():
-    # check_realization applies the term maps to monomials; composing the
+    # check_realization reads each relation in closed form; composing the
     # same maps on normalized term lists gives the same residuals bit for bit.  Non-dyadic
     # alpha, l and beta make a reassociated product show; at 0.1 and
-    # alpha = 0.37, (e + l/alpha) - l/alpha != e, so the term-list path runs.
+    # alpha = 0.37, (e + l/alpha) - l/alpha != e, so the images the
+    # reference merges lie off e by rounding.
     exponents = [-3.0, -1.5, 0.0, 0.1, 0.25, 1.0, 2.0, 3.0, 5.0]
     assert (0.1 + 1.0 / 0.37) - 1.0 / 0.37 != 0.1
     for p, q, alpha, beta, l in product(
@@ -168,6 +201,19 @@ def test_check_realization_matches_series_composition():
         report = check_realization(params, exponents)
         got = [e.residual.hex() for e in report.entries]
         assert got == [r.hex() for r in series_residuals(params, exponents)], params
+
+
+def test_check_realization_small_alpha_passes():
+    # l/alpha = 30000: at e = 0.1, (e + l/alpha) - l/alpha misses e by more
+    # than the reference's EXPONENT_TOL, and its term lists read about 0.5
+    params = validate(2, 3, 1e-4 / 3, 0, 1)
+    exponents = [-2.5, -0.5, 0.1, 1.5, 4.25]
+    shift = params.l / params.alpha
+    assert abs(0.1 + shift - shift - 0.1) > EXPONENT_TOL * 1.1
+    report = check_realization(params, exponents)
+    assert report.passed
+    assert report.max_residual() <= 1e-15
+    assert min(series_residuals(params, exponents)[2:]) > 0.4
 
 
 def test_check_realization_catches_a_twisted_lowering(monkeypatch):

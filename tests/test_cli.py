@@ -165,11 +165,33 @@ def test_calculus_check_passes(capsys):
     assert payload["metadata"]["exponents"] == [-3, -2, -1, 0, 1, 2, 3, 4, 5]
 
 
+def test_calculus_check_small_alpha_passes(capsys):
+    # l/alpha = -65534.35: e + l/alpha - l/alpha misses e by up to 7.3e-12,
+    # a drift in the exponent bookkeeping that the algebra does not see
+    code, out, _ = run_capture(capsys, [
+        "calculus-check", "--p", "0.5", "--q", "0.3", "--alpha", "-2.62e-05", "--l", "1.717",
+    ])
+    assert code == 0
+    residuals = [r["residual"] for r in json.loads(out)["results"]]
+    assert residuals[:2] == [8.172418289474836e-17, 3.388040316680739e-21]
+    assert max(residuals[2:]) <= 1e-15
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("--alpha", "2000"), ("--alpha", "-2000"), ("--beta", "2000"), ("--beta", "-2000"),
+], ids=["alpha-2000", "alpha-minus-2000", "beta-2000", "beta-minus-2000"])
+def test_calculus_check_overflowing_power_exits_three(capsys, flag, value):
+    # p**(-alpha) or p**(-beta) with p = 2 leaves the double range: 2000 ln 2
+    got = run_capture(capsys, ["calculus-check", "--p", "2", "--q", "3", flag, value])
+    err = "error: ExponentOverflowError: exponent magnitude 1386.2943611198905 exceeds 700\n"
+    assert got == (3, "", err)
+
+
 GOLDEN = Path(__file__).parent / "golden"
 
 
-# At alpha = 0.3, six of the nine exponents fail the l/alpha round trip and
-# take the term-list path.
+# At alpha = 0.3, six of the nine exponents fail the float l/alpha round
+# trip; their images still lie on e, so the closed form reads them too.
 @pytest.mark.parametrize("name, flags", [
     ("calculus_check_p2_q3", []),
     ("calculus_check_p2_q3_alpha0.3_l1", ["--alpha", "0.3", "--l", "1"]),
