@@ -1,11 +1,11 @@
 """Numerics for two-base deformed oscillator algebras.
 
-The library evaluates the five-parameter structure function and its
-classical special cases, builds truncated Fock-space matrix
-representations of the ladder algebra, realizes the same algebra by
-difference operators on monomials z**e, computes the deformed
-Hamiltonian spectrum in closed form, and solves and verifies the
-coproduct coefficient system.  Every algebraic identity involved is
+The library evaluates the five-parameter structure function, whose
+points at fixed parameters are the classical schemes, builds truncated
+Fock-space matrix representations of the ladder algebra, realizes the
+same algebra by difference operators on monomials z**e, computes the
+deformed Hamiltonian spectrum in closed form, and solves and verifies
+the coproduct coefficient system.  Every algebraic identity involved is
 checked numerically to floating-point tolerance and reported as a
 named-residual CheckReport.
 """
@@ -34,13 +34,6 @@ _EXPORTS = {
         "f_general",
         "checked_exp",
         "pq_sum_oracle",
-        "standard_qm",
-        "arik_coon",
-        "arik_coon_generalized",
-        "biedenharn_macfarlane",
-        "bm_symmetric_generalized",
-        "two_parameter",
-        "two_parameter_symmetric_generalized",
         "ExponentOverflowError",
     ),
     "report": ("CheckEntry", "CheckReport"),

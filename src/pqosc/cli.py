@@ -154,11 +154,6 @@ def build_config(values: dict) -> Config:
     )
 
 
-def parse_config(source: str) -> Config:
-    """Config from text alone (flags absent); unknown keys are errors."""
-    return build_config(read_pairs(source))
-
-
 # ---------------------------------------------------------------------------
 # Emission
 # ---------------------------------------------------------------------------
@@ -386,6 +381,8 @@ def _read_argv(argv: list[str]):
         if raw is None:
             raise ConfigError(f"{flag} expects a value")
         if flag in paths:
+            if not raw:
+                raise ConfigError(f"{flag}: empty path")
             paths[flag] = raw
         else:
             values[_FLAGS[flag]] = _parse_value(_FLAGS[flag], raw, flag, False)

@@ -78,23 +78,14 @@ class CheckReport(namedtuple("CheckReport", "check entries metadata")):
         return json.dumps(self.to_dict())
 
     @staticmethod
-    def from_dict(data: dict) -> "CheckReport":
+    def from_json(text: str) -> "CheckReport":
+        """The report that to_json wrote."""
+        data = json.loads(text)
         entries = tuple(
             CheckEntry(r["label"], float(r["residual"]), float(r["tol"]))
             for r in data["results"]
         )
         return CheckReport(data["check"], entries, dict(data.get("metadata", {})))
-
-    @staticmethod
-    def from_json(text: str) -> "CheckReport":
-        return CheckReport.from_dict(json.loads(text))
-
-    def lines(self) -> list[str]:
-        out = []
-        for e in self.entries:
-            status = "pass" if e.passed else "FAIL"
-            out.append(f"{self.check}: {e.label}: residual={e.residual:.3e} tol={e.tol:.3e} {status}")
-        return out
 
 
 def results(reports) -> list[dict]:

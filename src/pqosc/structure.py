@@ -12,11 +12,12 @@ evaluates a whole affine lattice start + step*k, bit for bit as bracket
 would, with the guard decided at its end points before it is formed;
 with a shift, it evaluates x_k and x_k + shift in turn.  The general
 five-parameter structure function is f(n) = bracket(alpha*n + beta).
-The classical schemes that are this function at fixed parameters
-(Arik-Coon, the symmetric q-bracket and its generalized form, the plain
-two-base bracket and its generalized form) are maps to their
-DeformationParams; only the undeformed oscillator and the generalized
-Arik-Coon scheme keep a formula of their own.  An independent finite-sum
+The classical schemes are points of this family, each reached by
+passing its parameters to validate: Arik-Coon, (1 - q**n) / (1 - q), is
+p = 1 with alpha = 1, beta = 0, l = 1; the symmetric q-bracket,
+(q**-n - q**n) / (q**-1 - q), is p = q at the same alpha, beta and l,
+and its generalized form frees alpha and beta; the plain two-base
+bracket is alpha = 1, beta = 0 at any l.  An independent finite-sum
 oracle closes the module.
 """
 
@@ -24,7 +25,7 @@ from __future__ import annotations
 
 import math
 
-from .params import DeformationParams, validate
+from .params import DeformationParams
 
 # |exponent| * |ln(base)| beyond which exp() would overflow a double.
 EXP_LIMIT = 700.0
@@ -161,48 +162,3 @@ def pq_sum_oracle(n: int, p: float, q: float) -> float:
         raise ValueError(f"n must be a nonnegative integer, got {n!r}")
     n = int(n)
     return math.fsum(p ** (-(n - 1 - k)) * q ** k for k in range(n))
-
-
-# ---------------------------------------------------------------------------
-# Scheme catalog: evaluate the parameter maps with f_general.  Each raises
-# what validate raises: NonPositiveBaseError, or DegenerateDenominatorError
-# where (p*q)**l = 1 within its guard.
-# ---------------------------------------------------------------------------
-
-
-def standard_qm(n: float) -> float:
-    """Undeformed oscillator: f(n) = n/2."""
-    return 0.5 * n
-
-
-def arik_coon(q: float) -> DeformationParams:
-    """Arik-Coon, f(n) = (1 - q**n) / (1 - q): p = 1."""
-    return validate(1.0, q, 1.0, 0.0, 1.0)
-
-
-def arik_coon_generalized(n: float, q: float, alpha: float, beta: float) -> float:
-    """Generalized Arik-Coon, f(n) = q**(alpha*n + beta) * (1 - q**n) / (1 - q)."""
-    params = arik_coon(q)
-    return checked_exp((alpha * n + beta) * math.log(params.q)) * f_general(n, params)
-
-
-def biedenharn_macfarlane(q: float) -> DeformationParams:
-    """Symmetric bracket, f(n) = (q**-n - q**n) / (q**-1 - q): p = q."""
-    return validate(q, q, 1.0, 0.0, 1.0)
-
-
-def bm_symmetric_generalized(q: float, alpha: float, beta: float) -> DeformationParams:
-    """Symmetric bracket at x = alpha*n + beta."""
-    return validate(q, q, alpha, beta, 1.0)
-
-
-def two_parameter(p: float, q: float, l: float) -> DeformationParams:
-    """Two-base bracket at x = n, f(n) = (p**-n - q**n) / (p**-l - q**l)."""
-    return validate(p, q, 1.0, 0.0, l)
-
-
-def two_parameter_symmetric_generalized(
-    p: float, q: float, alpha: float, beta: float, l: float
-) -> DeformationParams:
-    """The general five-parameter scheme."""
-    return validate(p, q, alpha, beta, l)

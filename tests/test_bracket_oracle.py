@@ -176,7 +176,7 @@ def test_checks_pass_next_to_the_singular_surface():
     rep = build(params, 16)
     maxweight = float(max(abs(w) for w in rep.weights))
     report = check_relations(rep, "grading", 1e-11 * maxweight)
-    assert report.passed, report.lines()
+    assert report.passed, report.entries
     spectrum_table(params, 16)  # raises ArithmeticError when its three forms disagree
     report = check_realization(params, [float(e) for e in range(-3, 6)])
-    assert report.passed, report.lines()
+    assert report.passed, report.entries

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from pqosc.cli import USAGE, ConfigError, parse_config, run
+from pqosc.cli import USAGE, ConfigError, build_config, read_pairs, run
 
 
 def run_capture(capsys, argv):
@@ -260,7 +260,7 @@ def test_negative_n_max_exit_two(capsys, command):
     assert out == ""
     assert err.startswith("error: ConfigError: n_max must be nonnegative")
     with pytest.raises(ConfigError):
-        parse_config("p = 2\nq = 3\nn_max = -1")
+        build_config(read_pairs("p = 2\nq = 3\nn_max = -1"))
 
 
 def test_hopf_solve_constraints_pass(capsys):
@@ -321,13 +321,13 @@ def test_config_file_and_flag_override(tmp_path, capsys):
 
 
 def test_parse_config_defaults_and_errors():
-    cfg = parse_config("p = 2\nq = 3\nalpha = 1\nbeta = 0\nl = 1")
+    cfg = build_config(read_pairs("p = 2\nq = 3\nalpha = 1\nbeta = 0\nl = 1"))
     assert cfg.dim == 16 and cfg.n_max == 20 and cfg.tol == 1e-10
     assert cfg.mode == "grading" and cfg.fmt == "json"
     with pytest.raises(ConfigError):
-        parse_config("p = 2\nbogus = 7")
+        build_config(read_pairs("p = 2\nbogus = 7"))
     with pytest.raises(ConfigError):
-        parse_config("p = 2")  # q missing
+        build_config(read_pairs("p = 2"))  # q missing
 
 
 def test_degenerate_config_exit_two(tmp_path, capsys):
@@ -355,8 +355,11 @@ COMMANDS = "numbers, spectrum, rep-check, calculus-check, hopf-solve, hopf-check
     (["numbers", "--p", "2", "--q"], "--q expects a value"),
     (["numbers", "--p", "abc", "--q", "3"], "--p: cannot parse value 'abc' for key 'p'"),
     (["numbers", "--p=", "--q", "3"], "--p: empty value for key 'p'"),
+    (["numbers", "--p", "2", "--q", "3", "--out="], "--out: empty path"),
+    (["numbers", "--p", "2", "--q", "3", "--out", ""], "--out: empty path"),
+    (["numbers", "--p", "2", "--q", "3", "--config="], "--config: empty path"),
 ], ids=["no-argv", "unknown-command", "unknown-flag", "underscore", "abbreviation",
-        "no-value", "unparsable", "empty"])
+        "no-value", "unparsable", "empty", "empty-out", "empty-out-spaced", "empty-config"])
 def test_parse_errors_exit_two(capsys, argv, message):
     assert run_capture(capsys, argv) == (2, "", f"error: ConfigError: {message}\n")
 

@@ -107,12 +107,18 @@ def test_only_a_json_report_loads_datetime(fmt, stamped):
     assert ('"timestamp"' in proc.stdout) == stamped
 
 
-def package_imports():
-    """(path, node) for every import statement in the package, at any depth."""
-    paths = sorted((SRC / "pqosc").glob("*.py"))
+def parsed(folder: Path):
+    """(path, syntax tree) of every Python file in folder."""
+    paths = sorted(folder.glob("*.py"))
     assert paths
     for path in paths:
-        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        yield path, ast.parse(path.read_text(), str(path))
+
+
+def package_imports():
+    """(path, node) for every import statement in the package, at any depth."""
+    for path, tree in parsed(SRC / "pqosc"):
+        for node in ast.walk(tree):
             if isinstance(node, (ast.Import, ast.ImportFrom)):
                 yield path, node
 
@@ -136,6 +142,52 @@ def test_no_module_imports_a_private_name_of_another():
         if isinstance(node, ast.ImportFrom) and (node.level or node.module.startswith("pqosc")):
             private = [alias.name for alias in node.names if alias.name.startswith("_")]
             assert not private, f"{path.name}:{node.lineno} imports {private}"
+
+
+def references(tree: ast.Module) -> set[str]:
+    """The names and attributes a module reads, each outside its own top-level definition."""
+    seen = set()
+    for stmt in tree.body:
+        read = {node.id for node in ast.walk(stmt) if isinstance(node, ast.Name)}
+        read |= {node.attr for node in ast.walk(stmt) if isinstance(node, ast.Attribute)}
+        read.discard(getattr(stmt, "name", None))  # a def or a class
+        seen |= read
+    return seen
+
+
+# Exports that no command runs and no benchmark calls: the tests compare against them.
+TEST_REFERENCES = {
+    "lambda_forms": "the three forms of each level, which test_spectrum and test_acceptance compare",
+    "hamiltonian_eigs": "the Fock cross-check of the levels, until a command runs it (ROADMAP item 9)",
+}
+
+
+def test_every_export_has_a_caller():
+    """src/pqosc keeps what osc runs: each public name is read elsewhere in
+    the package or by perfbench, or is a named test reference."""
+    package = set().union(*(references(tree) for _, tree in parsed(SRC / "pqosc")))
+    perfbench = set().union(*(references(tree) for _, tree in parsed(SRC.parent / "perfbench")))
+    orphans = sorted(set(pqosc._HOME) - package - perfbench - set(TEST_REFERENCES))
+    assert not orphans, f"exported but run by no command, no benchmark and no test table: {orphans}"
+
+
+def test_every_import_is_used_or_a_re_export():
+    """Each top-level import in a package module binds a name the module
+    reads, unless a comment on the import statement calls it a re-export."""
+    for path, tree in parsed(SRC / "pqosc"):
+        lines = path.read_text().splitlines()
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for stmt in tree.body:
+            if not isinstance(stmt, (ast.Import, ast.ImportFrom)):
+                continue
+            if getattr(stmt, "module", None) == "__future__":
+                continue
+            span = lines[stmt.lineno - 1:stmt.end_lineno]
+            if any("re-export" in line.partition("#")[2] for line in span):
+                continue
+            bound = [alias.asname or alias.name.split(".")[0] for alias in stmt.names]
+            unused = [name for name in bound if name not in read]
+            assert not unused, f"{path.name}:{stmt.lineno} imports {unused} and never reads them"
 
 
 def test_public_names_resolve():

@@ -9,19 +9,12 @@ from pqosc import (
     DegenerateDenominatorError,
     ExponentOverflowError,
     NonPositiveBaseError,
-    arik_coon,
-    arik_coon_generalized,
-    biedenharn_macfarlane,
-    bm_symmetric_generalized,
     bracket,
     check_pq_inversion,
     checked_exp,
     dual,
     f_general,
     pq_sum_oracle,
-    standard_qm,
-    two_parameter,
-    two_parameter_symmetric_generalized,
     validate,
 )
 
@@ -64,63 +57,64 @@ def test_oracle_equivalence_on_grid(p, q):
 
 
 def test_scheme_values():
-    assert standard_qm(4) == 2.0
-    assert f_general(3, arik_coon(0.5)) == pytest.approx(1.75, rel=1e-15)
-    assert f_general(2, biedenharn_macfarlane(2.0)) == pytest.approx(2.5, rel=1e-15)
-    # generalized Arik-Coon: q^(alpha n + beta) * (1 - q^n) / (1 - q)
-    got = arik_coon_generalized(3, 0.5, 2.0, 1.0)
-    assert got == pytest.approx(0.5 ** 7 * 1.75, rel=1e-14)
+    """The classical schemes are validate at their maps: Arik-Coon is p = 1,
+    the symmetric bracket p = q, its generalized form frees alpha and beta."""
+    assert f_general(3, validate(1.0, 0.5, 1, 0, 1)) == pytest.approx(1.75, rel=1e-15)
+    assert f_general(2, validate(2.0, 2.0, 1, 0, 1)) == pytest.approx(2.5, rel=1e-15)
     # symmetric generalized bracket at alpha*n + beta = 2
-    got = f_general(2, bm_symmetric_generalized(2.0, 0.5, 1.0))
+    got = f_general(2, validate(2.0, 2.0, 0.5, 1.0, 1))
     assert got == pytest.approx(2.5, rel=1e-14)
 
 
 def test_scheme_formulas():
-    """Each catalog map reproduces its scheme's textbook formula."""
+    """Each scheme's parameter map reproduces its textbook formula."""
     for q in Q_GRID:
         for n in (-2.0, 0.0, 1.0, 2.5, 7.0):
             want = (1 - q ** n) / (1 - q)
-            assert f_general(n, arik_coon(q)) == pytest.approx(want, rel=1e-14, abs=1e-14)
+            assert f_general(n, validate(1.0, q, 1, 0, 1)) == pytest.approx(
+                want, rel=1e-14, abs=1e-14
+            )
             want = (q ** -n - q ** n) / (q ** -1 - q)
-            assert f_general(n, biedenharn_macfarlane(q)) == pytest.approx(
+            assert f_general(n, validate(q, q, 1, 0, 1)) == pytest.approx(
                 want, rel=1e-14, abs=1e-14
             )
             x = 0.5 * n + 0.25
             want = (q ** -x - q ** x) / (q ** -1 - q)
-            assert f_general(n, bm_symmetric_generalized(q, 0.5, 0.25)) == pytest.approx(
+            assert f_general(n, validate(q, q, 0.5, 0.25, 1)) == pytest.approx(
                 want, rel=1e-14, abs=1e-14
             )
 
 
 def test_two_parameter_matches_general_at_unit_slope():
+    """The plain two-base bracket (p**-n - q**n) / (p**-l - q**l) is alpha = 1, beta = 0."""
     for p in P_GRID:
         for q in Q_GRID:
             for l in (0.5, 1.0, 2.0):
-                assert two_parameter(p, q, l) == validate(p, q, 1, 0, l)
+                params = validate(p, q, 1, 0, l)
+                for n in (-2.0, 0.0, 1.0, 2.5, 7.0):
+                    want = (p ** -n - q ** n) / (p ** -l - q ** l)
+                    assert f_general(n, params) == pytest.approx(want, rel=1e-14, abs=1e-14)
 
 
-def test_general_schemes_delegate(base_params):
-    assert two_parameter_symmetric_generalized(2.0, 3.0, 1.0, 0.0, 1.0) == base_params
-    assert two_parameter_symmetric_generalized(0.7, 1.9, 2.0, 0.3, 0.5) == validate(
-        0.7, 1.9, 2.0, 0.3, 0.5
-    )
+def test_general_schemes_delegate():
+    """At the general map every parameter is free: f(n) = bracket(alpha*n + beta)."""
+    params = validate(0.7, 1.9, 2.0, 0.3, 0.5)
+    for n in (-2.0, 0.0, 1.0, 2.5, 7.0):
+        x = 2.0 * n + 0.3
+        want = (0.7 ** -x - 1.9 ** x) / (0.7 ** -0.5 - 1.9 ** 0.5)
+        assert f_general(n, params) == pytest.approx(want, rel=1e-14, abs=1e-14)
 
 
 def test_scheme_guards():
+    """Each map raises what validate raises at its degenerate and invalid points."""
     with pytest.raises(DegenerateDenominatorError):
-        arik_coon(1.0)
+        validate(1.0, 1.0, 1, 0, 1)  # Arik-Coon and the symmetric bracket at q = 1
     with pytest.raises(DegenerateDenominatorError):
-        biedenharn_macfarlane(1.0)
-    with pytest.raises(DegenerateDenominatorError):
-        two_parameter(2.0, 0.5, 1.0)
-    with pytest.raises(DegenerateDenominatorError):
-        arik_coon_generalized(2, 1.0, 1.0, 0.0)
+        validate(2.0, 0.5, 1, 0, 1)  # two-base at p*q = 1
     with pytest.raises(NonPositiveBaseError):
-        arik_coon(0.0)
+        validate(1.0, 0.0, 1, 0, 1)  # Arik-Coon at q = 0
     with pytest.raises(NonPositiveBaseError):
-        bm_symmetric_generalized(-2.0, 1.0, 0.0)
-    with pytest.raises(ExponentOverflowError):
-        arik_coon_generalized(3, 2.0, 400.0, 0.0)
+        validate(-2.0, -2.0, 1.0, 0.0, 1)  # generalized symmetric bracket at q = -2
 
 
 def test_overflow_reported(base_params):
