@@ -13,25 +13,23 @@ The script walks a monomial up and down the ladder and verifies the
 relations exponent by exponent, including away from integer powers.
 """
 
-from pqosc import check_realization, validate
-from pqosc.calculus import dilation_map, lower_map, raise_map
+from pqosc import check_realization, f_general, validate
 
 
-def show(label, term):
-    e, c = term
+def show(label, e, c):
     print(f"  {label}: {c:.6g} z^{e:g}" if c else f"  {label}: 0")
 
 
 params = validate(2.0, 3.0, 1.0, 0.0, 1.0)
-a, a_dag = lower_map(params), raise_map(params)
+shift = params.l / params.alpha  # a lowers, a+ raises the exponent by l/alpha
 print("parameters p=2, q=3, alpha=1, beta=0, l=1")
-m = (2.0, 1.0)
-show("z^2", m)
-show("a z^2", a(*m))
-show("a+ z^2", a_dag(*m))
-show("a a+ z^2", a(*a_dag(*m)))
-show("q^(alpha N + beta) z^2", dilation_map(ratio=3.0, prefactor=1.0)(*m))
-show("a 1", a(0.0, 1.0))
+e = 2.0
+show("z^2", e, 1.0)
+show("a z^2", e - shift, f_general(e, params))
+show("a+ z^2", e + shift, 1.0)
+show("a a+ z^2", e, f_general(e + shift, params))
+show("q^(alpha N + beta) z^2", e, params.q ** (params.alpha * e + params.beta))
+show("a 1", -shift, f_general(0.0, params))
 
 print("\nrelation residuals on monomials, several parameter sets:")
 cases = [

@@ -1,74 +1,33 @@
 """Difference-operator realization on monomials z**e.
 
-A term c * z**e with a real exponent e is an (e, c) pair.  Every
-operator maps a single term to a single term, so each is defined once
-as a monomial map (e, c) -> (e', c'):
+On real powers of z every operator sends one term c * z**e to one term:
 
-    a  : difference derivative, (e, c) -> (e - l/alpha, c * f_general(e))
-    a+ : multiplication by z**(l/alpha), (e, c) -> (e + l/alpha, c)
-    N  : Euler operator, (e, c) -> (e, c * alpha * e)
+    a  : difference derivative, z**e -> f(e) * z**(e - l/alpha)
+    a+ : multiplication by z**(l/alpha), z**e -> z**(e + l/alpha)
+    N  : scaled Euler operator, z**e -> alpha*e * z**e
 
-with the exponential generators acting as dilations,
+where f is the structure function f_general.  The exponential
+generators act as dilations z -> ratio*z with a prefactor,
 
-    (e, c) -> (e, c * prefactor * ratio**e),
+    z**e -> prefactor * ratio**e * z**e,
 
 p**(-alpha*N - beta) being (ratio=p**-alpha, prefactor=p**-beta) and
 q**(alpha*N + beta) being (ratio=q**alpha, prefactor=q**beta).  Under
 this dilation reading all four defining relations close identically for
-every alpha != 0.  Both sides of a relation send z**e to one term on
-one exactly known exponent (e + l/alpha for [N, a+], e - l/alpha for
-[N, a], e for the other two), so check_realization reads each relation
-on z**e in closed form, as a gap between coefficients.
+every alpha != 0.  Both sides of a relation send z**e to one multiple of
+one known power (z**(e + l/alpha) for [N, a+], z**(e - l/alpha) for
+[N, a], z**e for the other two), so check_realization reads each
+relation on z**e in closed form, as a gap between coefficients.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Callable, Sequence
+from typing import Sequence
 
 from .params import DeformationParams, require_nonzero_alpha
-from .report import CheckEntry, CheckReport
+from .report import CheckEntry, CheckReport, peak
 from .structure import checked_exp, f_general
-
-# A gap below COEFF_PRUNE in magnitude counts as zero, as a pruned term would.
-COEFF_PRUNE = 1e-300
-
-
-# A monomial map: one term (e, c) to its image (e', c').
-TermMap = Callable[[float, float], tuple[float, float]]
-
-
-def lower_map(params: DeformationParams) -> TermMap:
-    """a: (e, c) -> (e - l/alpha, c * f_general(e))."""
-    require_nonzero_alpha(params)
-    shift = params.l / params.alpha
-    return lambda e, c: (e - shift, c * f_general(e, params))
-
-
-def raise_map(params: DeformationParams) -> TermMap:
-    """a+: (e, c) -> (e + l/alpha, c)."""
-    require_nonzero_alpha(params)
-    shift = params.l / params.alpha
-    return lambda e, c: (e + shift, c)
-
-
-def number_map(params: DeformationParams) -> TermMap:
-    """N: (e, c) -> (e, c * alpha * e)."""
-    alpha = params.alpha
-    return lambda e, c: (e, c * alpha * e)
-
-
-def dilation_map(ratio: float, prefactor: float) -> TermMap:
-    """z -> ratio*z with an overall prefactor: (e, c) -> (e, c * prefactor * ratio**e)."""
-    if not (ratio > 0.0):
-        raise ValueError(f"ratio must be positive, got {ratio}")
-    lr = math.log(ratio)
-    return lambda e, c: (e, c * prefactor * checked_exp(e * lr))
-
-
-def _kept(c: float) -> float:
-    """A summed coefficient as a pruned term list keeps it: below COEFF_PRUNE (NaN too), 0.0."""
-    return c if abs(c) >= COEFF_PRUNE else 0.0
 
 
 def _power(base: float, x: float) -> float:
@@ -97,19 +56,25 @@ def check_realization(
 ) -> CheckReport:
     """Verify the defining relations on each monomial z**e.
 
-    Both sides of a relation send z**e to one term on one exactly known
-    exponent, so each residual is a coefficient gap, read in closed form:
-    a two-term sum, the COEFF_PRUNE cut, a second two-term sum, formed
-    with the monomial maps' own expressions.  f_general is evaluated once
-    at e and once at e + l/alpha; a N z**e is alpha*e times a z**e.  A
-    float round trip e + l/alpha - l/alpha that misses e is rounding in
-    the exponent bookkeeping, not a failure of the algebra, and does not
-    enter.  Residuals are scaled by the largest coefficient participating
-    in the identity, so the reported numbers are relative to the natural
-    size of the terms being cancelled.  Raises ValueError when
-    `exponents` is empty, where no relation would be compared, or holds a
-    NaN or an infinity, and ExponentOverflowError when one of q**l,
-    p**-l, p**-alpha, p**-beta, q**alpha, q**beta leaves the double range.
+    With u = e + l/alpha, the operator rules give on z**e
+
+        [N, a+] = l a+         (alpha*u - alpha*e) z**u = l z**u
+        [N, a]  = -l a         (alpha*(e - l/alpha) - alpha*e) f(e) z**(e - l/alpha)
+                                   = -l f(e) z**(e - l/alpha)
+        aa+ - q^l a+a = P      f(u) - q**l f(e) = p**-beta * (p**-alpha)**e
+        aa+ - p^-l a+a = Q     f(u) - p**-l f(e) = q**beta * (q**alpha)**e
+
+    and each residual is the gap between the two sides' coefficients,
+    scaled by 1 plus the largest coefficient in the identity, so that it
+    is relative to the natural size of the terms being cancelled.  f is
+    evaluated once at e and once at u.  Both sides of a relation land on
+    the same power of z by construction, so a float round trip
+    e + l/alpha - l/alpha that misses e does not enter.  Each relation's
+    residual is the peak over the exponents, NaN where some exponent's
+    is, and a NaN fails.  Raises ValueError when `exponents` is empty,
+    where no relation would be compared, or holds a NaN or an infinity,
+    and ExponentOverflowError when one of q**l, p**-l, p**-alpha,
+    p**-beta, q**alpha, q**beta leaves the double range.
     """
     if len(exponents) == 0:
         raise ValueError("exponents must be nonempty")
@@ -124,26 +89,24 @@ def check_realization(
     shift = l / alpha
     abs_l = abs(l)
 
-    worst = [0.0] * 4
+    rows = []
     for e in exponents:
         up, down = e + shift, e - shift
         fe = f_general(e, params)
         fu = f_general(up, params)
         # [N, a+] = l a+ at z**up: N a+ gives alpha*up, a+ N gives alpha*e
-        g = _kept(alpha * up - alpha * e)
-        r1 = abs(_kept(g - l)) / (1.0 + max(abs(g), abs_l))
+        g = alpha * up - alpha * e
+        r1 = abs(g - l) / (1.0 + max(abs(g), abs_l))
         # [N, a] = -l a at z**down, a N z**e being alpha*e times a z**e
-        g = _kept(fe * alpha * down - alpha * e * fe)
-        r2 = abs(_kept(g + l * fe)) / (1.0 + max(abs(g), abs_l * abs(fe)))
+        g = fe * alpha * down - alpha * e * fe
+        r2 = abs(g + l * fe) / (1.0 + max(abs(g), abs_l * abs(fe)))
         # a a+ z**e = f(up) z**e and a+ a z**e = f(e) z**e
         rhs = p_pref * checked_exp(e * lr_p)
-        g = _kept(fu - ql * fe)
-        r3 = abs(_kept(g - rhs)) / (1.0 + max(abs(fu), ql * abs(fe), abs(rhs)))
+        r3 = abs(fu - ql * fe - rhs) / (1.0 + max(abs(fu), ql * abs(fe), abs(rhs)))
         rhs = q_pref * checked_exp(e * lr_q)
-        g = _kept(fu - pl * fe)
-        r4 = abs(_kept(g - rhs)) / (1.0 + max(abs(fu), pl * abs(fe), abs(rhs)))
-        worst = [max(w, r) for w, r in zip(worst, (r1, r2, r3, r4))]
+        r4 = abs(fu - pl * fe - rhs) / (1.0 + max(abs(fu), pl * abs(fe), abs(rhs)))
+        rows.append((r1, r2, r3, r4))
 
-    entries = tuple(CheckEntry(label, value, tol) for label, value in zip(_LABELS, worst))
+    entries = tuple(CheckEntry(label, peak(col), tol) for label, col in zip(_LABELS, zip(*rows)))
     metadata = {"params": params.as_dict(), "exponents": exponents}
     return CheckReport("difference-realization", entries, metadata)

@@ -54,7 +54,7 @@ from .params import (
     ParameterError,
     validate,
 )
-from .report import RESULT_HEADER, CheckEntry, CheckReport, peak, result_rows, results
+from .report import RESULT_HEADER, CheckEntry, CheckReport, result_rows, results
 from .structure import ExponentOverflowError, brackets
 
 _PARAM_KEYS = ("p", "q", "alpha", "beta", "l")
@@ -213,7 +213,7 @@ def _relations_report(cfg: Config) -> CheckReport:
     from . import fock
 
     rep = fock.build(cfg.params, cfg.dim)
-    tol = cfg.tol * peak(rep.weights)
+    tol = cfg.tol * rep.maxweight
     if not tol < float("inf"):  # NaN fails too
         raise ConfigError(f"tol {cfg.tol} times the largest ladder weight is {tol}, not finite")
     return fock.check_relations(rep, cfg.mode, tol)

@@ -1,7 +1,7 @@
 """Truncated matrix representations of the deformed ladder algebra.
 
 The representation lives on basis levels k = 0 .. dim-1.  The number
-operator is N = diag(nu0 + l*k), the grading lattice is x_k = x0 + l*k,
+operator is N = diag(l*k), the grading lattice is x_k = x0 + l*k,
 and the ladder weights are w_k = bracket(x_k), so that
 
     a |k> = sqrt(w_k) |k-1>,      a+ |k> = sqrt(w_{k+1}) |k+1>,
@@ -106,13 +106,14 @@ class Shift(namedtuple("Shift", "offset weights")):
         return _shifted(tuple(map(mul, self.weights, vec)), -self.offset)
 
 
-class FockRep(namedtuple("FockRep", "params dim x0 nu0 weights ops")):
+class FockRep(namedtuple("FockRep", "params dim x0 maxweight weights ops")):
     """Truncated representation; every generator is a weighted shift.
 
     weights holds w_k = bracket(x0 + l*k) for k = 0 .. dim, a tuple of
-    dim + 1 floats.  ops maps "1", "a", "a+", "N", "P", "Q" to their
-    shifts: a has offset -1 and weights sqrt(w_k), a+ offset +1 and
-    weights sqrt(w_{k+1}); N, P, Q and 1 are diagonal (offset 0).
+    dim + 1 floats, and maxweight their peak |w_k|.  ops maps "1", "a",
+    "a+", "N", "P", "Q" to their shifts: a has offset -1 and weights
+    sqrt(w_k), a+ offset +1 and weights sqrt(w_{k+1}); N, P, Q and 1 are
+    diagonal (offset 0).
     """
 
     __slots__ = ()
@@ -132,7 +133,6 @@ def build(
     params: DeformationParams,
     dim: int,
     x0: Optional[float] = None,
-    nu0: float = 0.0,
 ) -> FockRep:
     """Construct the truncated representation of size `dim`.
 
@@ -146,12 +146,12 @@ def build(
     if x0 is None:
         x0 = params.beta
     x0 = float(x0)
-    nu0 = float(nu0)
 
     l = params.l
     x, weights = brackets(x0, l, dim + 1, params)
     weights = tuple(weights)
-    scale = max(1.0, peak(weights))
+    maxweight = peak(weights)
+    scale = max(1.0, maxweight)
     if not (-_NEGATIVE_WEIGHT_TOL * scale <= weights[0] <= _LOWEST_WEIGHT_TOL * scale):
         raise NotLowestWeightError(
             f"w_0 = {weights[0]:.6g} != 0: level 0 is not annihilated "
@@ -167,15 +167,16 @@ def build(
     lp = math.log(params.p)
     lq = math.log(params.q)
     x.pop()  # P and Q sit on levels 0 .. dim-1
+    # N = diag(l*k); + 0.0 makes level 0 read 0.0, not -0.0, at l < 0
     ops = {
         "1": Shift(0, (1.0,) * dim),
         "a": Shift(-1, lower),
         "a+": Shift(1, _shifted(lower, 1)),
-        "N": Shift(0, tuple([nu0 + l * k for k in range(dim)])),
+        "N": Shift(0, tuple([l * k + 0.0 for k in range(dim)])),
         "P": Shift(0, checked_exps([-t * lp for t in x])),
         "Q": Shift(0, checked_exps([t * lq for t in x])),
     }
-    return FockRep(params, dim, x0, nu0, weights, ops)
+    return FockRep(params, dim, x0, maxweight, weights, ops)
 
 
 def check_relations(rep: FockRep, mode: str = "grading", tol: float = 1e-10) -> CheckReport:
@@ -198,15 +199,16 @@ def check_relations(rep: FockRep, mode: str = "grading", tol: float = 1e-10) -> 
         raise ValueError(f"relations need dim >= 2 (an interior level), got {rep.dim}")
     params = rep.params
     l = params.l
+    n = rep.ops["N"].weights
     if mode == "grading":
         p_gen, q_gen = rep.ops["P"].weights, rep.ops["Q"].weights
     else:
-        expo = [params.alpha * (rep.nu0 + l * k) + params.beta for k in range(rep.dim)]
+        expo = [params.alpha * nu + params.beta for nu in n]
         lp, lq = math.log(params.p), math.log(params.q)
         p_gen = checked_exps([-t * lp for t in expo])
         q_gen = checked_exps([t * lq for t in expo])
 
-    a, ad, n = rep.ops["a"].weights, rep.ops["a+"].weights, rep.ops["N"].weights
+    a, ad = rep.ops["a"].weights, rep.ops["a+"].weights
     ql = params.q ** l
     pl = params.p ** (-l)
     # Level k of a a+ is a[k+1] ad[k] (interior levels only), of a+ a it is
@@ -230,8 +232,8 @@ def check_relations(rep: FockRep, mode: str = "grading", tol: float = 1e-10) -> 
         "dim": rep.dim,
         "mode": mode,
         "x0": rep.x0,
-        "nu0": rep.nu0,
-        "maxweight": peak(rep.weights),
+        "nu0": n[0],
+        "maxweight": rep.maxweight,
     }
     return CheckReport("fock-relations", entries, metadata)
 

@@ -39,7 +39,7 @@ def one_site(rep) -> dict:
         "1": np.eye(d),
         "a": a,
         "a+": a.T.copy(),
-        "N": np.diag(rep.nu0 + params.l * np.arange(d)),
+        "N": np.diag(rep.ops["N"].weights),
         "P": np.diag(np.exp(-x * math.log(params.p))),
         "Q": np.diag(np.exp(x * math.log(params.q))),
     }
@@ -52,7 +52,7 @@ def relations(rep, mode: str) -> tuple[list, float]:
     if mode == "grading":
         p_gen, q_gen = m["P"], m["Q"]
     else:
-        nu = rep.nu0 + params.l * np.arange(rep.dim)
+        nu = np.array(rep.ops["N"].weights)
         expo = params.alpha * nu + params.beta
         p_gen = np.diag(np.exp(-expo * math.log(params.p)))
         q_gen = np.diag(np.exp(expo * math.log(params.q)))

@@ -3,16 +3,48 @@ from itertools import product
 
 import pytest
 
-from pqosc import ZeroAlphaError, check_realization, f_general, validate
+from pqosc import ZeroAlphaError, check_realization, cli, f_general, validate
 from pqosc import calculus
-from pqosc.calculus import COEFF_PRUNE, dilation_map, lower_map, number_map, raise_map
 from pqosc.fock import build
+from pqosc.params import require_nonzero_alpha
+from pqosc.structure import checked_exp
 
 
 # The term-list reference.  A term list is a tuple of float (exponent,
 # coefficient) pairs; composed term lists stand in for series.  Exponents
-# are equal iff |e1 - e2| <= EXPONENT_TOL * (1 + |e1|).
+# are equal iff |e1 - e2| <= EXPONENT_TOL * (1 + |e1|), and a summed
+# coefficient below COEFF_PRUNE in magnitude is dropped.
 EXPONENT_TOL = 1e-12
+COEFF_PRUNE = 1e-300
+
+
+# Each operator as a monomial map: one term (e, c) to its image (e', c').
+def lower_map(params):
+    """a: (e, c) -> (e - l/alpha, c * f_general(e))."""
+    require_nonzero_alpha(params)
+    shift = params.l / params.alpha
+    return lambda e, c: (e - shift, c * f_general(e, params))
+
+
+def raise_map(params):
+    """a+: (e, c) -> (e + l/alpha, c)."""
+    require_nonzero_alpha(params)
+    shift = params.l / params.alpha
+    return lambda e, c: (e + shift, c)
+
+
+def number_map(params):
+    """N: (e, c) -> (e, c * alpha * e)."""
+    alpha = params.alpha
+    return lambda e, c: (e, c * alpha * e)
+
+
+def dilation_map(ratio, prefactor):
+    """z -> ratio*z with an overall prefactor: (e, c) -> (e, c * prefactor * ratio**e)."""
+    if not (ratio > 0.0):
+        raise ValueError(f"ratio must be positive, got {ratio}")
+    lr = math.log(ratio)
+    return lambda e, c: (e, c * prefactor * checked_exp(e * lr))
 
 
 def _normalize(pairs):
@@ -226,3 +258,25 @@ def test_check_realization_catches_a_twisted_lowering(monkeypatch):
     # scaling a by a constant leaves both commutators with N intact
     failed = {entry.label for entry in report.entries if not entry.passed}
     assert failed == {"aa+ - q^l a+a = P", "aa+ - p^-l a+a = Q"}
+
+
+# fe * alpha * down overflows at e = -3, and -inf - -inf is NaN there
+NAN_POINT = {
+    "p": "0.1358324183340469",
+    "q": "5868.292187502873",
+    "alpha": "-11.324395803031946",
+    "beta": "43.64203932595376",
+    "l": "-17.211969560028464",
+}
+
+
+def test_check_realization_fails_a_nan_residual(capsys):
+    params = validate(*(float(v) for v in NAN_POINT.values()))
+    assert check_realization(params, [-2.0, 0.0, 5.0]).passed
+    report = check_realization(params, cli._CALCULUS_EXPONENTS)
+    lower = report.entry("[N, a] = -l a")
+    assert math.isnan(lower.residual) and not lower.passed
+    assert not report.passed
+    argv = [f"--{key}={value}" for key, value in NAN_POINT.items()]
+    assert cli.run(["calculus-check", *argv, "--format", "csv"]) == 1
+    assert '"[N, a] = -l a",nan,1e-10,false\n' in capsys.readouterr().out

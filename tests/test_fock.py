@@ -175,7 +175,7 @@ def test_apply_word(base_params):
     assert np.allclose(out, want, rtol=1e-13)
 
     out_n = apply_word(rep, ["N"], mid)
-    assert out_n[2] == pytest.approx(rep.nu0 + 2 * base_params.l)
+    assert out_n[2] == pytest.approx(2 * base_params.l)
 
 
 @pytest.mark.parametrize(

@@ -148,14 +148,27 @@ def references(tree: ast.Module) -> set[str]:
     """The names and attributes a module reads, each outside its own top-level definition."""
     seen = set()
     for stmt in tree.body:
-        read = {node.id for node in ast.walk(stmt) if isinstance(node, ast.Name)}
-        read |= {node.attr for node in ast.walk(stmt) if isinstance(node, ast.Attribute)}
+        loads = [n for n in ast.walk(stmt) if isinstance(getattr(n, "ctx", None), ast.Load)]
+        read = {n.id for n in loads if isinstance(n, ast.Name)}
+        read |= {n.attr for n in loads if isinstance(n, ast.Attribute)}
         read.discard(getattr(stmt, "name", None))  # a def or a class
         seen |= read
     return seen
 
 
-# Exports that no command runs and no benchmark calls: the tests compare against them.
+def public_definitions(tree: ast.Module) -> set[str]:
+    """The public top-level defs, classes and constants a module defines."""
+    names = set()
+    for stmt in tree.body:
+        if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+            names.add(stmt.name)
+        elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+            targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+            names |= {n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)}
+    return {name for name in names if not name.startswith("_")}
+
+
+# Public names that no command runs and no benchmark calls: the tests compare against them.
 TEST_REFERENCES = {
     "lambda_forms": "the three forms of each level, which test_spectrum and test_acceptance compare",
     "hamiltonian_eigs": "the Fock cross-check of the levels, until a command runs it (ROADMAP item 9)",
@@ -163,12 +176,15 @@ TEST_REFERENCES = {
 
 
 def test_every_export_has_a_caller():
-    """src/pqosc keeps what osc runs: each public name is read elsewhere in
-    the package or by perfbench, or is a named test reference."""
-    package = set().union(*(references(tree) for _, tree in parsed(SRC / "pqosc")))
+    """src/pqosc keeps what osc runs: each exported name, and each public
+    top-level def, class and constant of a package module, is read
+    elsewhere in the package or by perfbench, or is a named test reference."""
+    modules = [tree for _, tree in parsed(SRC / "pqosc")]
+    package = set().union(*map(references, modules))
     perfbench = set().union(*(references(tree) for _, tree in parsed(SRC.parent / "perfbench")))
-    orphans = sorted(set(pqosc._HOME) - package - perfbench - set(TEST_REFERENCES))
-    assert not orphans, f"exported but run by no command, no benchmark and no test table: {orphans}"
+    public = set(pqosc._HOME).union(*map(public_definitions, modules))
+    orphans = sorted(public - package - perfbench - set(TEST_REFERENCES))
+    assert not orphans, f"public but run by no command, no benchmark and no test table: {orphans}"
 
 
 def test_every_import_is_used_or_a_re_export():
