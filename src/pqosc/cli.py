@@ -7,10 +7,12 @@ lines, `#` comments) has one flag, `_` written `-` (`--n-max`), with no
 abbreviations.  The token after a flag is always its value, and one
 _parse_value reads flag and file values.  Flags override the file, the
 last of a repeated flag wins, and -h or --help anywhere prints USAGE.
-Reports go to stdout or `--out` as JSON (default) or CSV.  Exit codes:
-0 all checks pass, 1 at least one check failed (reports are still
-emitted), 2 invalid parameters, config or arguments, 3 internal numeric
-failure (overflow, undefined gamma); the message names the error.
+Reports go to stdout or `--out` as JSON (default) or CSV; the JSON is
+strict, a NaN or an infinity written as the string "nan", "inf" or
+"-inf" (its CSV text).  Exit codes: 0 all checks pass, 1 at least one
+check failed (reports are still emitted), 2 invalid parameters, config
+or arguments, 3 internal numeric failure (overflow, undefined gamma);
+the message names the error.
 
 Every handler returns the CheckReports it ran and its CSV table.  The
 driver takes the exit code from CheckReport.passed, once; sweep, whose
@@ -42,19 +44,12 @@ build the HopfCoefficients dataclass.
 from __future__ import annotations
 
 import io
-import json
 import sys
 from collections import namedtuple
 from itertools import product
 
-from .params import (
-    Beta1Beta2MismatchError,
-    DimensionMismatchError,
-    FockError,
-    ParameterError,
-    validate,
-)
-from .report import RESULT_HEADER, CheckEntry, CheckReport, result_rows, results
+from .params import Beta1Beta2MismatchError, FockError, ParameterError, validate
+from .report import RESULT_HEADER, CheckEntry, CheckReport, result_rows, results, strict_json
 from .structure import ExponentOverflowError, brackets
 
 _PARAM_KEYS = ("p", "q", "alpha", "beta", "l")
@@ -161,7 +156,7 @@ def build_config(values: dict) -> Config:
 
 def _emit(payload: dict, cfg_fmt: str, out_path: str | None, table) -> None:
     if cfg_fmt == "json":
-        text = json.dumps(payload, indent=2) + "\n"
+        text = strict_json(payload, indent=2) + "\n"
     else:
         import csv
 
@@ -434,8 +429,7 @@ def run(argv: list[str]) -> int:
             payload["timestamp"] = datetime.now(timezone.utc).isoformat()
         _emit(payload, fmt, out, table)
         return code
-    except (ConfigError, ParameterError, FockError, DimensionMismatchError,
-            Beta1Beta2MismatchError, OSError) as exc:
+    except (ConfigError, ParameterError, FockError, OSError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
     except ArithmeticError as exc:  # overflow, an undefined gamma, a degenerate A

@@ -21,7 +21,11 @@ split a1 = a2 = a3 = a4 = alpha/2 the solution is
 gamma exists only when R > 0; R <= 0 raises GammaUndefinedError (for
 instance p = q with b1 != b2 gives R = -q**(b1+b2) < 0, and b1 - b2 = l
 gives R < 0 whenever A falls between p**(-l) and q**l, which at
-alpha = 1 it always does, being their geometric mean).
+alpha = 1 it always does, being their geometric mean).  The denominator
+of R is degenerate (ADegenerateError) where it cancels to within 1e-14
+of the larger of its two terms.  Where R underflows to 0 or overflows to
+inf while its numerator and denominator are finite and of one sign,
+ln(R) is read as ln|num| - ln|den|.
 
 Everything here is scalar, on math; the tensor-product checks of the
 same constants are in hopf.
@@ -43,7 +47,7 @@ from .params import (  # the three errors are re-exported: they live in params
     validate,
 )
 from .report import CheckEntry, CheckReport
-from .structure import checked_exp
+from .structure import EXP_LIMIT, ExponentOverflowError, checked_exp
 
 
 class HopfParams(namedtuple("HopfParams", "p q alpha l beta1 beta2")):
@@ -101,6 +105,15 @@ def _exp(t: float) -> float:
         return checked_exp(t)  # t > 709 is past EXP_LIMIT: raises
 
 
+def _scaled_exp(scale: float, t: float) -> float:
+    """scale * math.exp(t) for scale > 0; where that overflows,
+    ExponentOverflowError naming ln(scale) + t."""
+    value = scale * _exp(t)
+    if value == math.inf:
+        checked_exp(math.log(scale) + t)  # past EXP_LIMIT: raises
+    return value
+
+
 def solve_coefficients(hp: HopfParams) -> HopfCoefficients:
     """Solve the constraint system for the symmetric split a_i = alpha/2."""
     params = hp.base_params()
@@ -109,21 +122,28 @@ def solve_coefficients(hp: HopfParams) -> HopfCoefficients:
     lq = math.log(hp.q)
 
     A = _exp(0.5 * hp.alpha * hp.l * (lq - lp))
-    den = _exp(-hp.beta1 * lp) - A * _exp(-hp.beta2 * lp)
-    num = _exp(hp.beta1 * lq) - A * _exp(hp.beta2 * lq)
-    scale = max(1.0, _exp(-hp.beta1 * lp), A * _exp(-hp.beta2 * lp))
-    if abs(den) < 1e-14 * scale:
+    d1, d2 = _exp(-hp.beta1 * lp), _scaled_exp(A, -hp.beta2 * lp)
+    den = d1 - d2
+    num = _exp(hp.beta1 * lq) - _scaled_exp(A, hp.beta2 * lq)
+    if abs(den) <= 1e-14 * max(d1, d2):  # judged against its own two terms
         raise ADegenerateError(f"p**(-beta1) - A*p**(-beta2) = {den:.3g} vanishes")
     R = num / den
-    if R <= 0.0:
+    if R in (0.0, math.inf) and (num > 0.0 < den or num < 0.0 > den):
+        # num and den are finite: the ratio leaves the double range, its logarithm does not
+        log_r = math.log(abs(num)) - math.log(abs(den))
+    elif R <= 0.0:
         raise GammaUndefinedError(
             f"(p*q)**(alpha*gamma) = {R:.6g} <= 0 has no real solution "
             f"(p={hp.p}, q={hp.q}, alpha={hp.alpha}, l={hp.l}, "
             f"beta1={hp.beta1}, beta2={hp.beta2})"
         )
-    gamma = math.log(R) / (hp.alpha * (lp + lq))
+    else:
+        log_r = math.log(R)
+    gamma = log_r / (hp.alpha * (lp + lq))
 
     half = 0.5 * hp.alpha
+    c_p = _exp(-half * gamma * lp)  # c1 = c3
+    c_q = _exp(half * gamma * lq)  # c2 = c4
     return HopfCoefficients(
         alpha1=half,
         alpha2=half,
@@ -131,10 +151,10 @@ def solve_coefficients(hp: HopfParams) -> HopfCoefficients:
         alpha4=half,
         A=A,
         gamma=gamma,
-        c1=_exp(-half * gamma * lp),
-        c2=_exp(half * gamma * lq),
-        c3=_exp(-half * gamma * lp),
-        c4=_exp(half * gamma * lq),
+        c1=c_p,
+        c2=c_q,
+        c3=c_p,
+        c4=c_q,
         c5=1.0,
         c6=1.0,
         c7=0.0,
@@ -147,6 +167,16 @@ def solve_coefficients(hp: HopfParams) -> HopfCoefficients:
     )
 
 
+def _power(base: float, t: float, where: str) -> float:
+    """base**t; where that overflows, ExponentOverflowError naming the exponent of e."""
+    try:
+        return base**t
+    except OverflowError:
+        raise ExponentOverflowError(
+            f"{where}: exponent {t * math.log(base)!r} exceeds {EXP_LIMIT:g}"
+        ) from None
+
+
 def _rel(a: float, b: float) -> float:
     return abs(a - b) / max(1.0, abs(a), abs(b))
 
@@ -155,6 +185,10 @@ def check_constraints(hc: HopfCoefficients, hp: HopfParams, tol: float = 1e-12) 
     """Residuals of every scalar equality the coefficient system satisfies."""
     p, q, alpha, l = hp.p, hp.q, hp.alpha, hp.l
     g = hc.gamma
+    # exponents twice those of c1..c4, so these can overflow where the solve did not
+    p_ag = _power(p, -alpha * g, "p**(-alpha*gamma) in c1 c3 = p^-alpha gamma")
+    q_ag = _power(q, alpha * g, "q**(alpha*gamma) in c2 c4 = q^alpha gamma")
+    pq_ag = _power(p * q, alpha * g, "(p*q)**(alpha*gamma) in gamma equation cross-multiplied")
     pairs = [
         ("c1 = p^-a1*gamma", hc.c1, p ** (-hc.alpha1 * g)),
         ("c2 = q^a2*gamma", hc.c2, q ** (hc.alpha2 * g)),
@@ -174,11 +208,11 @@ def check_constraints(hc: HopfCoefficients, hp: HopfParams, tol: float = 1e-12) 
         ("A = p^-a3l q^a2l", hc.A, p ** (-hc.alpha3 * l) * q ** (hc.alpha2 * l)),
         ("A = p^-a1l q^a4l", hc.A, p ** (-hc.alpha1 * l) * q ** (hc.alpha4 * l)),
         ("A = (q/p)^(alpha l/2)", hc.A, (q / p) ** (0.5 * alpha * l)),
-        ("c1 c3 = p^-alpha gamma", hc.c1 * hc.c3, p ** (-alpha * g)),
-        ("c2 c4 = q^alpha gamma", hc.c2 * hc.c4, q ** (alpha * g)),
+        ("c1 c3 = p^-alpha gamma", hc.c1 * hc.c3, p_ag),
+        ("c2 c4 = q^alpha gamma", hc.c2 * hc.c4, q_ag),
         (
             "gamma equation cross-multiplied",
-            (p * q) ** (alpha * g) * (p ** (-hp.beta1) - hc.A * p ** (-hp.beta2)),
+            pq_ag * (p ** (-hp.beta1) - hc.A * p ** (-hp.beta2)),
             q ** hp.beta1 - hc.A * q ** hp.beta2,
         ),
     ]
@@ -189,6 +223,6 @@ def check_constraints(hc: HopfCoefficients, hp: HopfParams, tol: float = 1e-12) 
         "gamma": g,
         # reported for reference: the printed variant of the second product
         "c1*c4": hc.c1 * hc.c4,
-        "q^alpha*gamma": q ** (alpha * g),
+        "q^alpha*gamma": q_ag,
     }
     return CheckReport("hopf-constraints", entries, metadata)

@@ -65,23 +65,20 @@ def tensor_blocks(terms: Sequence[tuple], keep: int) -> dict:
     terms is a sequence of (coef, (Shift, ...)) pairs, one shift per
     site.  A term's entries are its weights at input levels below keep on
     every site, flattened row-major, each formed as coef * (w1 * (w2 ...)),
-    the order in which the dense Kronecker product multiplies.  Terms
-    with the same offset tuple share a block and are summed in term
-    order; terms with different offset tuples never share an entry.  So
-    a lone shift's blocks, at keep = dim, are {(offset,): weights}.
+    the order in which the dense Kronecker product multiplies: seeded with
+    the last site's weights, multiplied inward through the first site,
+    coef applied last.  Terms with the same offset tuple share a block
+    and are summed in term order; terms with different offset tuples
+    never share an entry.  So a lone shift's blocks, at keep = dim, are
+    {(offset,): weights}.
     """
     out: dict = {}
     for coef, shifts in terms:
-        if len(shifts) == 1:  # no product: the branch below needs two sites or more
-            (s,) = shifts
-            w = [coef * v for v in s.weights[:keep]]
-            key = (s.offset,)
-        else:
-            w = shifts[-1].weights[:keep]
-            for s in shifts[-2:0:-1]:
-                w = [u * v for u in s.weights[:keep] for v in w]
-            w = [coef * (u * v) for u in shifts[0].weights[:keep] for v in w]
-            key = tuple([s.offset for s in shifts])
+        w = shifts[-1].weights[:keep]
+        for s in shifts[-2::-1]:
+            w = [u * v for u in s.weights[:keep] for v in w]
+        w = [coef * v for v in w]
+        key = tuple([s.offset for s in shifts])
         acc = out.get(key)
         out[key] = w if acc is None else list(map(add, acc, w))
     return out

@@ -2,9 +2,10 @@
 
 This module is the one place that reduces, judges and serializes
 residuals: peak reduces a list of them (keeping NaN), CheckEntry judges
-one against its tolerance, and results and result_rows turn reports into
+one against its tolerance, results and result_rows turn reports into
 the JSON result objects and the label,residual,tol,pass CSV rows that
-every command writes.
+every command writes, and strict_json writes JSON text, a NaN or an
+infinity as its CSV text in a string.
 
 Both types are namedtuples, not dataclasses, so that a cold CLI process
 does not import dataclasses (and with it inspect, ast and dis) to build
@@ -14,6 +15,7 @@ them.
 from __future__ import annotations
 
 import json
+import math
 from collections import namedtuple
 
 RESULT_HEADER = ("label", "residual", "tol", "pass")
@@ -60,12 +62,6 @@ class CheckReport(namedtuple("CheckReport", "check entries metadata")):
         """The peak residual: 0.0 for no entries, NaN if some residual is NaN."""
         return peak(e.residual for e in self.entries)
 
-    def entry(self, label: str) -> CheckEntry:
-        for e in self.entries:
-            if e.label == label:
-                return e
-        raise KeyError(label)
-
     def to_dict(self) -> dict:
         return {
             "check": self.check,
@@ -74,8 +70,8 @@ class CheckReport(namedtuple("CheckReport", "check entries metadata")):
         }
 
     def to_json(self) -> str:
-        """Compact JSON of to_dict(); the CLI indents its own output."""
-        return json.dumps(self.to_dict())
+        """Compact strict JSON of to_dict(); the CLI indents its own output."""
+        return strict_json(self.to_dict())
 
     @staticmethod
     def from_json(text: str) -> "CheckReport":
@@ -86,6 +82,27 @@ class CheckReport(namedtuple("CheckReport", "check entries metadata")):
             for r in data["results"]
         )
         return CheckReport(data["check"], entries, dict(data.get("metadata", {})))
+
+
+def strict_json(payload, indent: int | None = None) -> str:
+    """json.dumps(payload) as strict JSON: a non-finite float is written as
+    its CSV text, the string "nan", "inf" or "-inf", which float() reads
+    back.  The payload is walked only when it holds such a float."""
+    try:
+        return json.dumps(payload, indent=indent, allow_nan=False)
+    except ValueError:
+        return json.dumps(_finite(payload), indent=indent, allow_nan=False)
+
+
+def _finite(value):
+    """value with each non-finite float replaced by its repr, in new containers."""
+    if isinstance(value, float):
+        return value if math.isfinite(value) else repr(value)
+    if isinstance(value, dict):
+        return {k: _finite(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_finite(v) for v in value]
+    return value
 
 
 def results(reports) -> list[dict]:

@@ -1,3 +1,4 @@
+import json
 import math
 from itertools import product
 
@@ -274,9 +275,17 @@ def test_check_realization_fails_a_nan_residual(capsys):
     params = validate(*(float(v) for v in NAN_POINT.values()))
     assert check_realization(params, [-2.0, 0.0, 5.0]).passed
     report = check_realization(params, cli._CALCULUS_EXPONENTS)
-    lower = report.entry("[N, a] = -l a")
+    (lower,) = [e for e in report.entries if e.label == "[N, a] = -l a"]
     assert math.isnan(lower.residual) and not lower.passed
     assert not report.passed
     argv = [f"--{key}={value}" for key, value in NAN_POINT.items()]
     assert cli.run(["calculus-check", *argv, "--format", "csv"]) == 1
     assert '"[N, a] = -l a",nan,1e-10,false\n' in capsys.readouterr().out
+    assert cli.run(["calculus-check", *argv, "--no-timestamp"]) == 1
+
+    def refuse(token):
+        raise ValueError(f"{token} is not JSON")
+
+    payload = json.loads(capsys.readouterr().out, parse_constant=refuse)
+    (row,) = [r for r in payload["results"] if r["label"] == "[N, a] = -l a"]
+    assert (row["residual"], row["pass"]) == ("nan", False)

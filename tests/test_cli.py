@@ -241,6 +241,43 @@ def test_hopf_solve_finite_powers_past_exp_limit_pass(capsys):
         assert (code, err) == (0, "")
 
 
+@pytest.mark.parametrize("beta", ["45", "50", "100", "300", "-600"])
+def test_hopf_solve_equal_offsets_give_gamma_beta(capsys, beta):
+    # beta1 = beta2 gives R = (p*q)**beta exactly: p**-beta - A*p**-beta is
+    # 0.22 of its larger term however small both are, and at -600 R itself
+    # underflows while ln R = -600 ln 6 does not
+    code, out, err = run_capture(capsys, [
+        "hopf-solve", "--p", "2", "--q", "3", "--beta1", beta, "--beta2", beta, "--no-timestamp",
+    ])
+    assert (code, err) == (0, "")
+    assert json.loads(out)["coefficients"]["gamma"] == pytest.approx(float(beta), rel=1e-12)
+
+
+@pytest.mark.parametrize("flags, message", [
+    # gamma = 600 solves, but (p*q)**(alpha*gamma) = exp(1075) in the
+    # cross-multiplied row is past the double range
+    (["--p", "2", "--q", "3", "--beta1", "600", "--beta2", "600"],
+     "(p*q)**(alpha*gamma) in gamma equation cross-multiplied: exponent 1075."),
+    # A = exp(3.36) and q**beta2 = exp(709.3) are finite, their product is not
+    (["--p", "1.0693851663098843", "--q", "0.01861223253226228", "--l", "-1.6593689425963842",
+      "--beta1", "96.7704499859417", "--beta2", "-178.04499990541228"],
+     "exponent magnitude 712.68"),
+], ids=["cross-multiplied", "A-times-power"])
+def test_hopf_solve_overflow_past_a_finite_power_names_the_exponent(capsys, flags, message):
+    code, out, err = run_capture(capsys, ["hopf-solve", *flags])
+    assert (code, out) == (3, "")
+    assert err.startswith("error: ExponentOverflowError: " + message)
+
+
+def test_hopf_solve_true_cancellation_exit_three(capsys):
+    # A = (8/2)**(1/2) = 2, so p**0 - A*p**-1 = 1 - 1 cancels to rounding
+    code, out, err = run_capture(capsys, [
+        "hopf-solve", "--p", "2", "--q", "8", "--beta1", "0", "--beta2", "1",
+    ])
+    assert (code, out) == (3, "")
+    assert err.startswith("error: ADegenerateError: p**(-beta1) - A*p**(-beta2) = ")
+
+
 @pytest.mark.parametrize("offset", ["inf", "-inf", "nan"])
 def test_hopf_solve_nonfinite_offset_exit_two(capsys, offset):
     code, out, err = run_capture(

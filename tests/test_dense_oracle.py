@@ -90,28 +90,50 @@ def test_dim_eight_matches_dense():
     assert_hopf_matches_dense(*hopf_case(0.5, 3.0, 2.0, 8))
 
 
-def test_tensor_blocks_layout_matches_kron():
+def densified(blocks: dict, d: int, sites: int) -> np.ndarray:
     """tensor_blocks' layout, read entry by entry: the entry of input
-    (k1, k2) in block (o1, o2) sits at row (k1+o1)*d + k2+o2, column
-    k1*d + k2 of the Kronecker product; an entry whose row leaves the
-    truncation is zero."""
+    (k1, k2, ...) in block (o1, o2, ...) sits at row index (k1+o1, k2+o2,
+    ...), column index (k1, k2, ...) of the Kronecker product, both
+    row-major; an entry whose row leaves the truncation must be zero."""
+    shape = (d,) * sites
+    got = np.zeros((d**sites, d**sites))
+    for offsets, entries in blocks.items():
+        assert len(entries) == d**sites
+        for i, v in enumerate(entries):
+            rows = [k + o for k, o in zip(np.unravel_index(i, shape), offsets)]
+            if all(0 <= r < d for r in rows):
+                got[np.ravel_multi_index(rows, shape), i] += v
+            else:
+                assert v == 0.0, (offsets, i)
+    return got
+
+
+def test_tensor_blocks_layout_matches_kron():
+    """One, two and three sites, each bit for bit against the dense sum of
+    Kronecker products: a one-site sum (the counit's), the coproduct, and
+    both three-site expansions of the coproduct."""
     hc, rep = hopf_case(2.0, 3.0, 0.7, 5)
     d = rep.dim
-    ops, delta, _, _, _ = hopf._symbols(rep, hc)
+    ops, delta, eps, _, _ = hopf._symbols(rep, hc)
     dense = dense_oracle.DenseHopf(rep, hc)
     for gen in ("1", "a", "a+", "N"):
-        two_site = [(t, (ops[s1], ops[s2])) for t, (s1, s2) in delta[gen]]
-        got = np.zeros((d * d, d * d))
-        for (o1, o2), entries in tensor_blocks(two_site, d).items():
-            assert len(entries) == d * d
-            for i, v in enumerate(entries):
-                k1, k2 = divmod(i, d)
-                r1, r2 = k1 + o1, k2 + o2
-                if 0 <= r1 < d and 0 <= r2 < d:
-                    got[r1 * d + r2, k1 * d + k2] += v
-                else:
-                    assert v == 0.0, (gen, (o1, o2), (k1, k2))
-        assert np.array_equal(got, dense.two_site(gen)), gen
+        terms = delta[gen]
+        one_site = [(t * eps[s2], (ops[s1],)) for t, (s1, s2) in terms]
+        want = np.zeros((d, d))
+        for t, (s,) in one_site:
+            want += t * dense_oracle.matrix(s)
+        assert np.array_equal(densified(tensor_blocks(one_site, d), d, 1), want), gen
+
+        two_site = [(t, (ops[s1], ops[s2])) for t, (s1, s2) in terms]
+        assert np.array_equal(densified(tensor_blocks(two_site, d), d, 2), dense.two_site(gen)), gen
+
+        right = [(t * t2, (ops[s1], ops[u1], ops[u2]))
+                 for t, (s1, s2) in terms for t2, (u1, u2) in delta[s2]]
+        left = [(t * t1, (ops[u1], ops[u2], ops[s2]))
+                for t, (s1, s2) in terms for t1, (u1, u2) in delta[s1]]
+        for slot, three_site in ((2, right), (1, left)):
+            got = densified(tensor_blocks(three_site, d), d, 3)
+            assert np.array_equal(got, dense.three_site(gen, slot)), (gen, slot)
 
 
 # The two-site products multiply shifts before the Kronecker product, so

@@ -157,11 +157,14 @@ def references(tree: ast.Module) -> set[str]:
 
 
 def public_definitions(tree: ast.Module) -> set[str]:
-    """The public top-level defs, classes and constants a module defines."""
+    """The public top-level defs, classes and constants a module defines,
+    and the public methods and properties of its classes."""
     names = set()
     for stmt in tree.body:
         if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
             names.add(stmt.name)
+            if isinstance(stmt, ast.ClassDef):
+                names |= {n.name for n in stmt.body if isinstance(n, ast.FunctionDef)}
         elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
             targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
             names |= {n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)}
@@ -176,9 +179,10 @@ TEST_REFERENCES = {
 
 
 def test_every_export_has_a_caller():
-    """src/pqosc keeps what osc runs: each exported name, and each public
-    top-level def, class and constant of a package module, is read
-    elsewhere in the package or by perfbench, or is a named test reference."""
+    """src/pqosc keeps what osc runs: each exported name, each public
+    top-level def, class and constant of a package module, and each public
+    method and property of its classes, is read elsewhere in the package
+    or by perfbench, or is a named test reference."""
     modules = [tree for _, tree in parsed(SRC / "pqosc")]
     package = set().union(*map(references, modules))
     perfbench = set().union(*(references(tree) for _, tree in parsed(SRC.parent / "perfbench")))

@@ -20,7 +20,7 @@ def test_report_aggregates():
     )
     assert report.passed
     assert report.max_residual() == 5e-11
-    assert report.entry("two").residual == 5e-11
+    assert [e.residual for e in report.entries if e.label == "two"] == [5e-11]
 
 
 def test_max_residual_keeps_a_nan_anywhere():
@@ -57,3 +57,22 @@ def test_reports_are_immutable_values():
         entry.tol = 2.0
     with pytest.raises(AttributeError):
         first.check = "other"
+
+
+def test_non_finite_floats_are_strict_json_strings():
+    nan, inf = float("nan"), float("inf")
+    report = CheckReport(
+        "demo",
+        (CheckEntry("one", nan, 1e-10), CheckEntry("two", inf, 1e-10), CheckEntry("three", 0.5, 1.0)),
+        {"scale": [1.0, -inf], "worst": {"residual": nan}},
+    )
+
+    def refuse(token):
+        raise ValueError(f"{token} is not JSON")
+
+    data = json.loads(report.to_json(), parse_constant=refuse)
+    assert [r["residual"] for r in data["results"]] == ["nan", "inf", 0.5]
+    assert data["metadata"] == {"scale": [1.0, "-inf"], "worst": {"residual": "nan"}}
+    again = CheckReport.from_json(report.to_json())
+    assert math.isnan(again.entries[0].residual) and again.entries[1:] == report.entries[1:]
+    assert report.metadata["scale"][1] == -inf  # the report itself keeps its floats
