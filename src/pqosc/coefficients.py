@@ -23,9 +23,11 @@ instance p = q with b1 != b2 gives R = -q**(b1+b2) < 0, and b1 - b2 = l
 gives R < 0 whenever A falls between p**(-l) and q**l, which at
 alpha = 1 it always does, being their geometric mean).  The denominator
 of R is degenerate (ADegenerateError) where it cancels to within 1e-14
-of the larger of its two terms.  Where R underflows to 0 or overflows to
-inf while its numerator and denominator are finite and of one sign,
-ln(R) is read as ln|num| - ln|den|.
+of the larger of its two terms or falls below the smallest normal
+double, where it no longer holds 53 bits; a numerator that small raises
+GammaUndefinedError.  Where R itself leaves the normal range (below the
+smallest normal double, or inf) while its numerator and denominator have
+one sign, ln(R) is read as ln|num| - ln|den|.
 
 Everything here is scalar, on math; the tensor-product checks of the
 same constants are in hopf.
@@ -34,6 +36,7 @@ same constants are in hopf.
 from __future__ import annotations
 
 import math
+import sys
 from collections import namedtuple
 from dataclasses import dataclass
 
@@ -125,11 +128,17 @@ def solve_coefficients(hp: HopfParams) -> HopfCoefficients:
     d1, d2 = _exp(-hp.beta1 * lp), _scaled_exp(A, -hp.beta2 * lp)
     den = d1 - d2
     num = _exp(hp.beta1 * lq) - _scaled_exp(A, hp.beta2 * lq)
-    if abs(den) <= 1e-14 * max(d1, d2):  # judged against its own two terms
+    tiny = sys.float_info.min  # a smaller double is subnormal: it keeps fewer than 53 bits
+    if abs(den) <= max(1e-14 * max(d1, d2), tiny):  # judged against its own two terms
         raise ADegenerateError(f"p**(-beta1) - A*p**(-beta2) = {den:.3g} vanishes")
+    if abs(num) < tiny:
+        raise GammaUndefinedError(
+            f"q**beta1 - A*q**beta2 = {num:.3g} is below the normal double range, "
+            f"so ln(R) is not resolved"
+        )
     R = num / den
-    if R in (0.0, math.inf) and (num > 0.0 < den or num < 0.0 > den):
-        # num and den are finite: the ratio leaves the double range, its logarithm does not
+    if (R < tiny or R == math.inf) and (num > 0.0 < den or num < 0.0 > den):
+        # num and den are normal: the ratio leaves the normal range, its logarithm does not
         log_r = math.log(abs(num)) - math.log(abs(den))
     elif R <= 0.0:
         raise GammaUndefinedError(

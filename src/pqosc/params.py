@@ -60,7 +60,8 @@ class DimensionMismatchError(ValueError):
 
 
 class GammaUndefinedError(ArithmeticError):
-    """The scalar equation for gamma has no real solution (R <= 0)."""
+    """The scalar equation for gamma has no real solution (R <= 0), or
+    R's numerator is too small for ln(R) to be resolved in doubles."""
 
 
 class ADegenerateError(ArithmeticError):

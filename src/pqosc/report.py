@@ -75,7 +75,9 @@ class CheckReport(namedtuple("CheckReport", "check entries metadata")):
 
     @staticmethod
     def from_json(text: str) -> "CheckReport":
-        """The report that to_json wrote."""
+        """The report that to_json wrote.  Residuals and tols read back as
+        floats, "nan", "inf" and "-inf" included; metadata is left as JSON
+        decodes it, so a non-finite float there comes back as its string."""
         data = json.loads(text)
         entries = tuple(
             CheckEntry(r["label"], float(r["residual"]), float(r["tol"]))

@@ -241,11 +241,12 @@ def test_hopf_solve_finite_powers_past_exp_limit_pass(capsys):
         assert (code, err) == (0, "")
 
 
-@pytest.mark.parametrize("beta", ["45", "50", "100", "300", "-600"])
+@pytest.mark.parametrize("beta", ["45", "50", "100", "300", "-415", "-600"])
 def test_hopf_solve_equal_offsets_give_gamma_beta(capsys, beta):
     # beta1 = beta2 gives R = (p*q)**beta exactly: p**-beta - A*p**-beta is
-    # 0.22 of its larger term however small both are, and at -600 R itself
-    # underflows while ln R = -600 ln 6 does not
+    # 0.18 of its larger term however small both are; at -415 R is a
+    # subnormal of about two units and at -600 it underflows, while
+    # ln R = beta ln 6 is read from the normal num and den
     code, out, err = run_capture(capsys, [
         "hopf-solve", "--p", "2", "--q", "3", "--beta1", beta, "--beta2", beta, "--no-timestamp",
     ])
@@ -267,6 +268,21 @@ def test_hopf_solve_overflow_past_a_finite_power_names_the_exponent(capsys, flag
     code, out, err = run_capture(capsys, ["hopf-solve", *flags])
     assert (code, out) == (3, "")
     assert err.startswith("error: ExponentOverflowError: " + message)
+
+
+@pytest.mark.parametrize("flags, message", [
+    # d1 = 2**-1070 and d2 = A*2**-1070 are subnormals of 16 and 11 units,
+    # so den = 5 units where it is 5.27 and gamma would read 1070.09
+    (["--p", "2", "--q", "0.9", "--beta1", "1070", "--beta2", "1070"],
+     "ADegenerateError: p**(-beta1) - A*p**(-beta2) = 2.47e-323 vanishes"),
+    # num = (1 - A)*2**-1070 is subnormal, so ln|num| would be off
+    (["--p", "0.9", "--q", "0.5", "--beta1", "1070", "--beta2", "1070"],
+     "GammaUndefinedError: q**beta1 - A*q**beta2 = 1.98e-323 is below the normal double range"),
+], ids=["den", "num"])
+def test_hopf_solve_subnormal_ratio_terms_exit_three(capsys, flags, message):
+    code, out, err = run_capture(capsys, ["hopf-solve", *flags])
+    assert (code, out) == (3, "")
+    assert err.startswith("error: " + message)
 
 
 def test_hopf_solve_true_cancellation_exit_three(capsys):

@@ -75,4 +75,5 @@ def test_non_finite_floats_are_strict_json_strings():
     assert data["metadata"] == {"scale": [1.0, "-inf"], "worst": {"residual": "nan"}}
     again = CheckReport.from_json(report.to_json())
     assert math.isnan(again.entries[0].residual) and again.entries[1:] == report.entries[1:]
+    assert again.metadata == {"scale": [1.0, "-inf"], "worst": {"residual": "nan"}}
     assert report.metadata["scale"][1] == -inf  # the report itself keeps its floats
