@@ -20,7 +20,6 @@ _EXPORTS = {
         "NonPositiveBaseError",
         "DegenerateDenominatorError",
         "ZeroAlphaError",
-        "NegativeWeightError",
         "NotLowestWeightError",
         "GammaUndefinedError",
         "ADegenerateError",

@@ -41,14 +41,10 @@ from .params import (
     DeformationParams,
     DimensionMismatchError,
     FockError,
-    NegativeWeightError,
     NotLowestWeightError,
 )
 from .report import CheckEntry, CheckReport, peak
 from .structure import brackets, checked_exps
-
-_LOWEST_WEIGHT_TOL = 1e-12
-_NEGATIVE_WEIGHT_TOL = 1e-14
 
 
 def _shifted(w: tuple, off: int) -> tuple:
@@ -133,10 +129,13 @@ def build(
 ) -> FockRep:
     """Construct the truncated representation of size `dim`.
 
-    x0 defaults to params.beta (the structure-function offset); the
-    lowest-weight condition w_0 = bracket(x0) = 0 then holds only for
-    beta = 0.  Pass x0=0 explicitly to absorb a nonzero beta into the
-    lattice.
+    x0 defaults to params.beta (the structure-function offset).  The
+    representation exists exactly when level 0 is annihilated, and that
+    is decided exactly: NotLowestWeightError unless w_0 = bracket(x0) is
+    0.0 (or -0.0), at every dim.  The bracket's only zero is x0 = 0, so
+    the default holds only for beta = 0; pass x0=0 explicitly to absorb
+    a nonzero beta into the lattice.  At w_0 = 0 every w_k, k >= 1, is
+    bracket(l*k) > 0, and a has weights sqrt(w_k).
     """
     if dim < 1:
         raise FockError(f"dim must be positive, got {dim}")
@@ -148,19 +147,14 @@ def build(
     x, weights = brackets(x0, l, dim + 1, params)
     weights = tuple(weights)
     maxweight = peak(weights)
-    scale = max(1.0, maxweight)
-    if not (-_NEGATIVE_WEIGHT_TOL * scale <= weights[0] <= _LOWEST_WEIGHT_TOL * scale):
+    if weights[0] != 0.0:
         raise NotLowestWeightError(
             f"w_0 = {weights[0]:.6g} != 0: level 0 is not annihilated "
             f"(x0 = {x0:.6g}; the lattice must start at x0 = 0)"
         )
-    for k in range(1, dim + 1):
-        if weights[k] < -_NEGATIVE_WEIGHT_TOL * scale:
-            raise NegativeWeightError(f"w_{k} = {weights[k]:.6g} < 0")
-
-    # sqrt(max(w, 0.0)) bit for bit, -0.0 and NaN included, without the call to max
-    sqrt = math.sqrt
-    lower = (0.0,) + tuple([0.0 if w < 0.0 else sqrt(w) for w in weights[1:dim]])
+    # tuple() of a list, not of map: tuple() of an iterator resizes its
+    # result as it grows, which fragments the heap over many small builds.
+    lower = (0.0,) + tuple([math.sqrt(w) for w in weights[1:dim]])
     lp = math.log(params.p)
     lq = math.log(params.q)
     x.pop()  # P and Q sit on levels 0 .. dim-1

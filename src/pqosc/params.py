@@ -43,10 +43,6 @@ class FockError(ValueError):
     """The requested truncated representation does not exist."""
 
 
-class NegativeWeightError(FockError):
-    """Some ladder weight is negative; square roots would be complex."""
-
-
 class NotLowestWeightError(FockError):
     """w_0 != 0, so the level below the cutoff is not annihilated."""
 

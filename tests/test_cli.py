@@ -411,10 +411,27 @@ COMMANDS = "numbers, spectrum, rep-check, calculus-check, hopf-solve, hopf-check
     (["numbers", "--p", "2", "--q", "3", "--out="], "--out: empty path"),
     (["numbers", "--p", "2", "--q", "3", "--out", ""], "--out: empty path"),
     (["numbers", "--p", "2", "--q", "3", "--config="], "--config: empty path"),
+    (["rep-check", "--p", "2", "--q", "3", "--dim", "3"], "rep-check needs dim >= 4, got 3"),
+    (["hopf-solve", "--p", "2", "--q", "3", "--beta1", "1"], "hopf commands need beta1 and beta2"),
+    (["hopf-check", "--p", "2", "--q", "3", "--beta2", "1", "--dim", "8"],
+     "hopf commands need beta1 and beta2"),
 ], ids=["no-argv", "unknown-command", "unknown-flag", "underscore", "abbreviation",
-        "no-value", "unparsable", "empty", "empty-out", "empty-out-spaced", "empty-config"])
+        "no-value", "unparsable", "empty", "empty-out", "empty-out-spaced", "empty-config",
+        "rep-check-dim", "hopf-solve-no-beta2", "hopf-check-no-beta1"])
 def test_parse_errors_exit_two(capsys, argv, message):
     assert run_capture(capsys, argv) == (2, "", f"error: ConfigError: {message}\n")
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--p", "inf", "--q", "3"], "NonPositiveBaseError: bases must be finite"),
+    (["--p", "2", "--q", "nan"], "NonPositiveBaseError: bases must be positive"),
+    (["--p", "2", "--q", "3", "--alpha", "nan"], "ParameterError: alpha must be finite"),
+    (["--p", "2", "--q", "3", "--l", "inf"], "ParameterError: l must be finite"),
+], ids=["p-inf", "q-nan", "alpha-nan", "l-inf"])
+def test_nonfinite_parameter_exit_two(capsys, flags, message):
+    code, out, err = run_capture(capsys, ["numbers", *flags])
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {message}")
 
 
 @pytest.mark.parametrize("argv", [["-h"], ["numbers", "--help"], ["bogus", "--p", "-h"]],
@@ -477,6 +494,21 @@ def test_sweep_records_bad_points(tmp_path, capsys):
     assert all(r["pass"] for r in payload["points"][1]["results"])
 
 
+def test_sweep_records_nonzero_beta_at_every_dim(tmp_path, capsys):
+    # At dim 40 the largest weight is so large that a w_0 band scaled by it
+    # would take w_0 = -0.33 for zero; level 0 must be annihilated exactly.
+    cfg = tmp_path / "grid.cfg"
+    cfg.write_text("p = 2\nq = 3\nbeta = 0, -0.5\ndim = 40\n")
+    code, payload, rows = json_and_csv(capsys, ["sweep", "--config", str(cfg)])
+    assert code == 1
+    good, bad = payload["points"]
+    assert all(r["pass"] for r in good["results"])
+    assert bad["error"].startswith("NotLowestWeightError: w_0 = -0.334745 != 0: ")
+    assert "results" not in bad
+    assert [row[8] for row in rows[1:]] == ["true"] * 4 + ["false"]
+    assert rows[5][3] == "-0.5" and rows[5][5] == bad["error"]
+
+
 def test_sweep_csv(tmp_path, capsys):
     cfg = tmp_path / "grid.cfg"
     cfg.write_text("p = 0.5, 2\nq = 3\nalpha = 1\nbeta = 0\nl = 1\ndim = 8\nformat = csv\n")
@@ -493,7 +525,9 @@ def test_sweep_csv(tmp_path, capsys):
     ("p = 2\nq = 3\ntol = nan\n", [], "tol must be positive and finite, got nan"),
     ("p = 2, 3\nq = 3\nmode = bogus\n", [], "mode must be 'grading' or 'literal'"),
     ("p = 2, 3\nq = 3\nformat = xml\n", [], "format must be 'json' or 'csv'"),
-], ids=["tol", "tol-inf", "tol-nan", "mode", "format"])
+    ("p = 2, 3\nq = 3\ndim = 3\n", [], "sweep needs dim >= 4, got 3"),
+    ("p 2\nq = 3\n", [], "line 1: expected 'key = value', got 'p 2'"),
+], ids=["tol", "tol-inf", "tol-nan", "mode", "format", "dim", "no-equals"])
 def test_sweep_invalid_option_exit_two(tmp_path, capsys, config, flags, message):
     # An invalid option is rejected once, before the grid, not per point.
     cfg = tmp_path / "grid.cfg"

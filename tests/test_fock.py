@@ -14,7 +14,7 @@ from pqosc import (
     validate,
 )
 from pqosc import fock
-from pqosc.fock import DimensionMismatchError, Shift, build
+from pqosc.fock import DimensionMismatchError, FockError, Shift, build
 
 import dense_oracle
 from dense_oracle import interior_projector
@@ -43,23 +43,28 @@ def test_nonzero_beta_default_needs_lowest_weight():
     assert bracket(0.5, params) == pytest.approx(0.40998, rel=1e-4)
     with pytest.raises(NotLowestWeightError):
         build(params, dim=6)
+    # w_0 = bracket(-50) is -8.9e-16 here and every later weight is
+    # negative too: at every dim the refusal is for w_0, whatever the
+    # largest weight.
+    for dim in (3, 16):
+        with pytest.raises(NotLowestWeightError, match=r"^w_0 = -8\.88178e-16 != 0"):
+            build(validate(0.5, 3, 1, -50, 1), dim)
 
 
-@pytest.mark.parametrize("edge, raises", [(1.5, True), (0.5, False)])
-def test_lowest_weight_tolerance_edge(base_params, edge, raises):
-    # w_0 = bracket(x0) is linear near 0, so x0 puts it at edge * 1e-12 of
-    # the largest weight: just above the lowest-weight tolerance it must
-    # raise, just below it the lattice builds.
-    dim = 6
-    scale = bracket(base_params.l * dim, base_params)
-    slope = bracket(1e-6, base_params) / 1e-6
-    x0 = edge * 1e-12 * scale / slope
-    assert bracket(x0, base_params) / (1e-12 * scale) == pytest.approx(edge, rel=1e-4)
-    if raises:
-        with pytest.raises(NotLowestWeightError):
-            build(base_params, dim, x0=x0)
-    else:
-        assert build(base_params, dim, x0=x0).weights[0] == bracket(x0, base_params)
+@pytest.mark.parametrize("x0, raises", [(1e-13, True), (-0.5, True), (0.0, False), (-0.0, False)],
+                         ids=["tiny-positive", "negative", "zero", "negative-zero"])
+def test_lowest_weight_rule_is_exact(base_params, x0, raises):
+    # The representation exists exactly when w_0 = bracket(x0) is 0.0, so
+    # the verdict on x0 is the same at every dim, however large the
+    # largest weight grows.
+    for dim in (6, 16, 40):
+        if raises:
+            with pytest.raises(NotLowestWeightError, match=r"^w_0 = .* != 0: level 0"):
+                build(base_params, dim, x0=x0)
+        else:
+            rep = build(base_params, dim, x0=x0)
+            assert rep.weights[0] == 0.0
+            assert rep.weights == build(base_params, dim).weights
 
 
 def test_nonzero_beta_with_explicit_x0():
@@ -138,9 +143,10 @@ def test_weights_are_the_scalar_bracket_bit_for_bit(point, x0):
     assert [w.hex() for w in rep.weights] == [w.hex() for w in want]
 
 
-# Lattice values the a-weight kernel must take as sqrt(max(w, 0.0)) does:
-# NaN stays NaN, -0.0 stays -0.0, a tiny negative gives 0.0, inf gives inf.
-SPECIAL_WEIGHTS = [0.0, 2.25, math.nan, -0.0, -1e-300, -5e-324, math.inf, 0.0, 1.0]
+# Lattice values the a-weight kernel must take as math.sqrt does: NaN stays
+# NaN, -0.0 stays -0.0, inf gives inf.  No weight past level 0 is negative
+# once w_0 = 0 (test_structure's lattice invariant), so none is listed.
+SPECIAL_WEIGHTS = [0.0, 2.25, math.nan, -0.0, math.inf, 0.0, 1.0]
 
 
 def bits(values):
@@ -154,10 +160,10 @@ def test_ladder_weights_on_special_values_bit_for_bit(base_params, monkeypatch):
     monkeypatch.setattr(fock, "brackets", special_brackets)
     dim = len(SPECIAL_WEIGHTS) - 1
     rep = build(base_params, dim)
-    want = [0.0] + [math.sqrt(max(w, 0.0)) for w in SPECIAL_WEIGHTS[1:dim]]
+    want = [0.0] + [math.sqrt(w) for w in SPECIAL_WEIGHTS[1:dim]]
     assert bits(rep.ops["a"].weights) == bits(want)
     assert bits(rep.ops["a+"].weights) == bits(want[1:] + [0.0])
-    assert bits(want[2:7]) == bits([math.nan, -0.0, 0.0, 0.0, math.inf])
+    assert bits(want[2:5]) == bits([math.nan, -0.0, math.inf])
 
 
 def test_apply_word(base_params):
@@ -199,6 +205,8 @@ def test_apply_word_validates(base_params):
         apply_word(rep, ["a"], np.zeros(5))
     with pytest.raises(DimensionMismatchError):
         apply_word(rep, ["a"], np.zeros((4, 1)))
+    with pytest.raises(DimensionMismatchError):
+        apply_word(rep, ["a"], 5)
     with pytest.raises(ValueError, match="finite"):
         apply_word(rep, ["a"], [0.0, np.nan, 0.0, 0.0])
     with pytest.raises(KeyError):
@@ -211,6 +219,10 @@ def test_relations_need_an_interior_level(base_params):
     for mode in ("grading", "literal"):
         with pytest.raises(ValueError):
             check_relations(rep, mode)
+    with pytest.raises(ValueError, match="mode must be 'grading' or 'literal', got 'bogus'"):
+        check_relations(build(base_params, dim=4), "bogus")
+    with pytest.raises(FockError, match="dim must be positive, got 0"):
+        build(base_params, 0)
 
 
 def test_nan_weight_fails_its_relations(base_params):

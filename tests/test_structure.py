@@ -3,13 +3,14 @@ import sys
 from decimal import Decimal, localcontext
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from pqosc import (
     DegenerateDenominatorError,
     ExponentOverflowError,
     NonPositiveBaseError,
     bracket,
+    brackets,
     check_pq_inversion,
     checked_exp,
     dual,
@@ -202,3 +203,36 @@ def test_duality_invariance(p, q, alpha, beta, l):
         a = f_general(n, params)
         b = f_general(n, other)
         assert abs(a - b) <= 1e-12 * (1 + abs(a))
+
+
+@st.composite
+def lattice_points(draw):
+    """(params, dim): p, q log-uniform in e**-4 .. e**4, l of either sign with
+    |l| in e**-5 .. e**2, a fifth of the points with |pq - 1| in 1e-11 .. 1e-2."""
+    p = math.exp(draw(st.floats(-4.0, 4.0)))
+    if draw(st.integers(0, 4)) == 0:
+        gap = math.exp(draw(st.floats(math.log(1e-11), math.log(1e-2))))
+        q = (1.0 + draw(st.sampled_from((-1.0, 1.0))) * gap) / p
+    else:
+        q = math.exp(draw(st.floats(-4.0, 4.0)))
+    l = draw(st.sampled_from((-1.0, 1.0))) * math.exp(draw(st.floats(-5.0, 2.0)))
+    try:
+        params = validate(p, q, 1.0, 0.0, l)
+    except DegenerateDenominatorError:
+        assume(False)
+    return params, draw(st.integers(1, 600))
+
+
+@settings(derandomize=True, max_examples=1000, deadline=None)
+@given(point=lattice_points())
+def test_lattice_from_zero_is_zero_then_positive(point):
+    # fock.build decides existence by w_0 == 0.0 alone and takes sqrt(w_k)
+    # unclamped.  That rests on this lattice, unless it overflows, having
+    # w_0 exactly 0 and every later w_k positive, for l of either sign.
+    params, dim = point
+    try:
+        _, weights = brackets(0.0, params.l, dim + 1, params)
+    except ExponentOverflowError:
+        return
+    assert weights[0] == 0.0
+    assert all(w > 0.0 for w in weights[1:])
