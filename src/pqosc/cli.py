@@ -14,12 +14,16 @@ check failed (reports are still emitted), 2 invalid parameters, config
 or arguments, 3 internal numeric failure (overflow, undefined gamma);
 the message names the error.
 
-Every handler returns the CheckReports it ran and its CSV table.  The
-driver takes the exit code from CheckReport.passed, once; sweep, whose
-error points are not reports, returns its own.  The JSON result objects
-and the label,residual,tol,pass CSV rows both come from report.results
-and report.result_rows, so a field added to an entry reaches JSON, CSV
-and the exit code through report alone.
+run merges and checks the options once, into one dict, and validates
+the DeformationParams once.  Each handler fills payload and returns the
+CheckReports it ran and a table of raw rows; the driver takes the exit
+code from CheckReport.passed, once (sweep, which validates each grid
+point and whose error points are not reports, returns its own).
+report.result_rows gives the raw label,residual,tol,pass rows and
+report.results keys them for JSON, so a field added to an entry reaches
+JSON, CSV and the exit code through report alone.  _emit alone formats
+CSV cells: csv writes a float as its repr and None as an empty cell,
+and _emit lower-cases a bool.
 
 Each process loads only the modules its command runs: every pqosc
 module past params, structure and report is imported inside the handler
@@ -36,19 +40,18 @@ only when a CSV table is written.  No command imports argparse.
 No command imports numpy: hopf-check decides coassociativity on symbol
 words and runs its other checks on tuples and lists of floats.  Every
 command but hopf-solve and hopf-check imports no dataclasses either:
-every type it builds (Config here, DeformationParams, the reports,
-SpectrumTable, Shift, FockRep, HopfParams) is a namedtuple; those two
-build the HopfCoefficients dataclass.
+every type it builds (DeformationParams, the reports, SpectrumTable,
+Shift, FockRep, HopfParams) is a namedtuple; those two build the
+HopfCoefficients dataclass.
 """
 
 from __future__ import annotations
 
 import io
 import sys
-from collections import namedtuple
 from itertools import product
 
-from .params import Beta1Beta2MismatchError, FockError, ParameterError, validate
+from .params import Beta1Beta2MismatchError, DeformationParams, FockError, ParameterError, validate
 from .report import RESULT_HEADER, CheckEntry, CheckReport, result_rows, results, strict_json
 from .structure import ExponentOverflowError, brackets
 
@@ -74,13 +77,6 @@ _CALCULUS_EXPONENTS = [-3.0, -2.0, -1.0, 0.0, 1.0, 2.0, 3.0, 4.0, 5.0]
 
 class ConfigError(ValueError):
     """Unreadable or inconsistent configuration."""
-
-
-class Config(namedtuple("Config", "params beta1 beta2 dim n_max tol mode fmt")):
-    """One validated invocation: DeformationParams, the optional Hopf
-    offsets beta1 and beta2 (None when absent), and the options."""
-
-    __slots__ = ()
 
 
 def _parse_value(key: str, raw: str, where: str, allow_lists: bool):
@@ -133,29 +129,13 @@ def _merged_options(values: dict) -> dict:
     return merged
 
 
-def build_config(values: dict) -> Config:
-    """Fill defaults, validate, and produce a Config."""
-    merged = _merged_options(values)
-    params = validate(merged["p"], merged["q"], merged["alpha"], merged["beta"], merged["l"])
-    return Config(
-        params=params,
-        beta1=merged.get("beta1"),
-        beta2=merged.get("beta2"),
-        dim=int(merged["dim"]),
-        n_max=int(merged["n_max"]),
-        tol=float(merged["tol"]),
-        mode=merged["mode"],
-        fmt=merged["format"],
-    )
-
-
 # ---------------------------------------------------------------------------
 # Emission
 # ---------------------------------------------------------------------------
 
 
-def _emit(payload: dict, cfg_fmt: str, out_path: str | None, table) -> None:
-    if cfg_fmt == "json":
+def _emit(payload: dict, fmt: str, out_path: str | None, table) -> None:
+    if fmt == "json":
         text = strict_json(payload, indent=2) + "\n"
     else:
         import csv
@@ -164,7 +144,9 @@ def _emit(payload: dict, cfg_fmt: str, out_path: str | None, table) -> None:
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(header)
-        writer.writerows(rows)
+        writer.writerows(
+            [str(v).lower() if isinstance(v, bool) else v for v in row] for row in rows
+        )
         text = buf.getvalue()
     if out_path:
         with open(out_path, "w", encoding="utf-8") as handle:
@@ -174,103 +156,103 @@ def _emit(payload: dict, cfg_fmt: str, out_path: str | None, table) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Commands: each fills payload and returns (reports, CSV table); sweep returns
-# (exit code, CSV table)
+# Commands: each takes (params, opts, payload), fills payload and returns
+# (reports, CSV table); sweep takes (opts, payload) and returns (exit code,
+# CSV table)
 # ---------------------------------------------------------------------------
 
 
-def _cmd_numbers(cfg: Config, payload: dict):
-    params = cfg.params
-    _, values = brackets(params.beta, params.alpha, cfg.n_max + 1, params)
-    table = [{"n": n, "f": f} for n, f in enumerate(values)]
-    payload["table"] = table
-    return (), (("n", "f"), [(row["n"], repr(row["f"])) for row in table])
+def _cmd_numbers(params: DeformationParams, opts: dict, payload: dict):
+    _, values = brackets(params.beta, params.alpha, opts["n_max"] + 1, params)
+    header, rows = ("n", "f"), list(enumerate(values))
+    payload["table"] = [dict(zip(header, row)) for row in rows]
+    return (), (header, rows)
 
 
-def _cmd_spectrum(cfg: Config, payload: dict):
+def _cmd_spectrum(params: DeformationParams, opts: dict, payload: dict):
     from . import spectrum
 
-    table = spectrum.spectrum_table(cfg.params, cfg.n_max)
-    duality = spectrum.check_pq_inversion(cfg.params, cfg.n_max, cfg.tol)
+    tol = opts["tol"]
+    table = spectrum.spectrum_table(params, opts["n_max"])
+    duality = spectrum.check_pq_inversion(params, opts["n_max"], tol)
     forms = CheckReport(
-        "spectrum-forms", (CheckEntry("three-form agreement", table.max_form_spread(), cfg.tol),)
+        "spectrum-forms", (CheckEntry("three-form agreement", table.max_form_spread(), tol),)
     )
     payload["results"] = results((forms, duality))
-    payload["table"] = [
-        {"n": n, "lambda": main, "form32": fq, "form34": fp} for n, main, fq, fp in table.rows
-    ]
-    rows = [(n, repr(main), repr(fq), repr(fp)) for n, main, fq, fp in table.rows]
-    return (forms, duality), (("n", "lambda", "form32", "form34"), rows)
+    header = ("n", "lambda", "form32", "form34")
+    payload["table"] = [dict(zip(header, row)) for row in table.rows]
+    return (forms, duality), (header, table.rows)
 
 
-def _relations_report(cfg: Config) -> CheckReport:
+def _relations_report(params: DeformationParams, opts: dict) -> CheckReport:
     """Relation residuals at one point, tol relative to the largest ladder weight."""
     from . import fock
 
-    rep = fock.build(cfg.params, cfg.dim)
-    tol = cfg.tol * rep.maxweight
+    rep = fock.build(params, opts["dim"])
+    tol = opts["tol"] * rep.maxweight
     if not tol < float("inf"):  # NaN fails too
-        raise ConfigError(f"tol {cfg.tol} times the largest ladder weight is {tol}, not finite")
-    return fock.check_relations(rep, cfg.mode, tol)
+        raise ConfigError(
+            f"tol {opts['tol']} times the largest ladder weight is {tol}, not finite"
+        )
+    return fock.check_relations(rep, opts["mode"], tol)
 
 
-def _cmd_rep_check(cfg: Config, payload: dict):
-    if cfg.dim < 4:
-        raise ConfigError(f"rep-check needs dim >= 4, got {cfg.dim}")
-    reports = (_relations_report(cfg),)
+def _cmd_rep_check(params: DeformationParams, opts: dict, payload: dict):
+    if opts["dim"] < 4:
+        raise ConfigError(f"rep-check needs dim >= 4, got {opts['dim']}")
+    reports = (_relations_report(params, opts),)
     payload["results"] = results(reports)
     payload["metadata"] = reports[0].metadata
     return reports, (RESULT_HEADER, result_rows(reports))
 
 
-def _cmd_calculus_check(cfg: Config, payload: dict):
+def _cmd_calculus_check(params: DeformationParams, opts: dict, payload: dict):
     from .calculus import check_realization
 
-    reports = (check_realization(cfg.params, _CALCULUS_EXPONENTS, cfg.tol),)
+    reports = (check_realization(params, _CALCULUS_EXPONENTS, opts["tol"]),)
     payload["results"] = results(reports)
     payload["metadata"] = reports[0].metadata
     return reports, (RESULT_HEADER, result_rows(reports))
 
 
-def _require_hopf(cfg: Config):
-    """The HopfParams of cfg; raises ConfigError when an offset is missing."""
+def _require_hopf(params: DeformationParams, opts: dict):
+    """The HopfParams of params and opts; raises ConfigError when an offset is missing."""
     from .coefficients import validate_hopf
 
-    if cfg.beta1 is None or cfg.beta2 is None:
+    if "beta1" not in opts or "beta2" not in opts:
         raise ConfigError("hopf commands need beta1 and beta2")
-    return validate_hopf(
-        cfg.params.p, cfg.params.q, cfg.params.alpha, cfg.params.l, cfg.beta1, cfg.beta2
-    )
+    return validate_hopf(params.p, params.q, params.alpha, params.l, opts["beta1"], opts["beta2"])
 
 
-def _cmd_hopf_solve(cfg: Config, payload: dict):
+def _cmd_hopf_solve(params: DeformationParams, opts: dict, payload: dict):
     from . import coefficients
 
-    hp = _require_hopf(cfg)
+    hp = _require_hopf(params, opts)
     hc = coefficients.solve_coefficients(hp)
-    reports = (coefficients.check_constraints(hc, hp, min(cfg.tol, 1e-12)),)
+    reports = (coefficients.check_constraints(hc, hp, min(opts["tol"], 1e-12)),)
     payload["coefficients"] = hc.as_dict()
     payload["results"] = results(reports)
-    rows = [("coefficient:" + k, repr(v), "", "") for k, v in hc.as_dict().items()]
+    rows = [("coefficient:" + k, v, None, None) for k, v in hc.as_dict().items()]
     return reports, (RESULT_HEADER, rows + result_rows(reports))
 
 
-def _cmd_hopf_check(cfg: Config, payload: dict):
-    if not (4 <= cfg.dim <= 64):
-        raise ConfigError(f"hopf-check needs 4 <= dim <= 64, got {cfg.dim}")
+def _cmd_hopf_check(params: DeformationParams, opts: dict, payload: dict):
+    dim, tol = opts["dim"], opts["tol"]
+    if not (4 <= dim <= 64):
+        raise ConfigError(f"hopf-check needs 4 <= dim <= 64, got {dim}")
     from . import coefficients, fock, hopf
 
-    hp = _require_hopf(cfg)
+    hp = _require_hopf(params, opts)
     hc = coefficients.solve_coefficients(hp)
-    rep = fock.build(hp.base_params(), cfg.dim)
+    rep = fock.build(hp.base_params(), dim)
 
-    constraints = coefficients.check_constraints(hc, hp, min(cfg.tol, 1e-12))
-    coassoc = hopf.check_coassociativity(rep, hc, cfg.tol)
-    counit = hopf.check_counit(hc, rep, cfg.tol)
-    antipode = hopf.check_antipode(hc, rep, cfg.tol)
+    constraints = coefficients.check_constraints(hc, hp, min(tol, 1e-12))
+    coassoc = hopf.check_coassociativity(rep, hc, tol)
+    counit = hopf.check_counit(hc, rep, tol)
+    antipode = hopf.check_antipode(hc, rep, tol)
     reports = [constraints, coassoc, counit, antipode]
     try:
-        reports.append(hopf.check_homomorphism(rep, hc, hp, cfg.tol))
+        reports.append(hopf.check_homomorphism(rep, hc, hp, tol))
     except Beta1Beta2MismatchError:
         payload["homomorphism"] = "skipped: beta1 - beta2 != l"
 
@@ -281,23 +263,21 @@ def _cmd_hopf_check(cfg: Config, payload: dict):
     return reports, (RESULT_HEADER, result_rows(reports))
 
 
-def _cmd_sweep(cfg_values: dict, payload: dict):
-    if int(cfg_values["dim"]) < 4:
-        raise ConfigError(f"sweep needs dim >= 4, got {cfg_values['dim']}")
-    grid_keys = [k for k in _PARAM_KEYS if isinstance(cfg_values.get(k), tuple)]
-    axes = [cfg_values[k] for k in grid_keys]
+def _cmd_sweep(opts: dict, payload: dict):
+    if opts["dim"] < 4:
+        raise ConfigError(f"sweep needs dim >= 4, got {opts['dim']}")
+    grid_keys = [k for k in _PARAM_KEYS if isinstance(opts[k], tuple)]
     points, rows = [], []
     any_fail = False
-    for combo in product(*axes) if grid_keys else [()]:
-        values = dict(cfg_values)
-        values.update(dict(zip(grid_keys, combo)))
-        point = {k: values.get(k) for k in _PARAM_KEYS}
-        base = tuple(repr(point[k]) for k in _PARAM_KEYS)
+    for combo in product(*(opts[k] for k in grid_keys)):
+        point = {k: opts[k] for k in _PARAM_KEYS}
+        point.update(zip(grid_keys, combo))
+        base = tuple(point.values())
         try:
-            reports = (_relations_report(build_config(values)),)
+            reports = (_relations_report(validate(*base), opts),)
         except (ParameterError, FockError, ConfigError, ExponentOverflowError) as exc:
             point["error"] = f"{type(exc).__name__}: {exc}"
-            rows.append(base + (point["error"], "", "", "false"))
+            rows.append(base + (point["error"], None, None, False))
             any_fail = True
         else:
             point["results"] = results(reports)
@@ -320,7 +300,7 @@ _HANDLERS = {
     "calculus-check": _cmd_calculus_check,
     "hopf-solve": _cmd_hopf_solve,
     "hopf-check": _cmd_hopf_check,
-    "sweep": _cmd_sweep,  # takes the merged values, not a Config
+    "sweep": _cmd_sweep,  # takes the options alone and validates each grid point
 }
 _FLAGS = {"--" + key.replace("_", "-"): key for key in _ALL_KEYS}  # --n-max -> n_max
 
@@ -393,34 +373,26 @@ def run(argv: list[str]) -> int:
         command, flag_values, config, out, stamp = _read_argv(argv)
         values = {}
         if config:
-            with open(config, "r", encoding="utf-8") as handle:
-                values = read_pairs(handle.read(), allow_lists=(command == "sweep"))
+            try:
+                with open(config, "r", encoding="utf-8") as handle:
+                    text = handle.read()
+            except UnicodeDecodeError as exc:
+                raise ConfigError(f"{config} is not UTF-8: {exc}") from None
+            values = read_pairs(text, allow_lists=(command == "sweep"))
         values.update(flag_values)
+        opts = _merged_options(values)
+        fmt = opts["format"]
 
         payload = {"command": command}
-        handler = _HANDLERS[command]
         if command == "sweep":
-            merged = _merged_options(values)
-            fmt = merged["format"]
-            payload["grid"] = {
-                k: list(v) for k, v in merged.items() if isinstance(v, tuple)
-            }
-            code, table = handler(merged, payload)
+            payload["grid"] = {k: list(v) for k, v in opts.items() if isinstance(v, tuple)}
+            code, table = _cmd_sweep(opts, payload)
         else:
-            cfg = build_config(values)
-            payload["params"] = cfg.params.as_dict()
-            if cfg.beta1 is not None:
-                payload["params"]["beta1"] = cfg.beta1
-            if cfg.beta2 is not None:
-                payload["params"]["beta2"] = cfg.beta2
-            payload["options"] = {
-                "dim": cfg.dim,
-                "n_max": cfg.n_max,
-                "tol": cfg.tol,
-                "mode": cfg.mode,
-            }
-            fmt = cfg.fmt
-            reports, table = handler(cfg, payload)
+            params = validate(*(opts[k] for k in _PARAM_KEYS))
+            payload["params"] = params.as_dict()
+            payload["params"].update((k, opts[k]) for k in ("beta1", "beta2") if k in opts)
+            payload["options"] = {k: opts[k] for k in ("dim", "n_max", "tol", "mode")}
+            reports, table = _HANDLERS[command](params, opts, payload)
             code = 0 if all(report.passed for report in reports) else 1
 
         if fmt == "json" and stamp:  # CSV rows carry no timestamp

@@ -111,10 +111,6 @@ class FockRep(namedtuple("FockRep", "params dim x0 maxweight weights ops")):
 
     __slots__ = ()
 
-    @property
-    def x_lattice(self) -> tuple:
-        return tuple(self.x0 + self.params.l * k for k in range(self.dim))
-
     def generator(self, symbol: str) -> Shift:
         try:
             return self.ops[symbol]

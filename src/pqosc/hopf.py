@@ -80,16 +80,17 @@ def _symbols(rep: FockRep, hc: HopfCoefficients) -> tuple:
 
     ops maps each symbol to its shift, delta each symbol to its coproduct
     [(coef, (s1, s2))], eps each symbol to its counit.  xt is the lattice
-    of a bare N exponent: the slot alpha*N carries x_k, so a factor
-    base^(s N) is diag(base^(s x_k / alpha)), evaluated by
-    structure.checked_exps, which raises ExponentOverflowError where an
-    exponent leaves EXP_LIMIT.  factors maps each exponential factor to
-    its (base, ln base, s).
+    of a bare N exponent: the slot alpha*N carries x_k = l*k, the
+    diagonal of rep's own N, so a factor base^(s N) is
+    diag(base^(s x_k / alpha)), evaluated by structure.checked_exps,
+    which raises ExponentOverflowError where an exponent leaves
+    EXP_LIMIT.  factors maps each exponential factor to its (base,
+    ln base, s).
     """
     require_nonzero_alpha(rep.params)
     p, q = rep.params.p, rep.params.q
     lp, lq = math.log(p), math.log(q)
-    xt = [x / rep.params.alpha for x in rep.x_lattice]
+    xt = [x / rep.params.alpha for x in rep.ops["N"].weights]
     factors = {
         "G1": (p, lp, -hc.alpha1),
         "H2": (q, lq, hc.alpha2),

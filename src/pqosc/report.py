@@ -2,10 +2,10 @@
 
 This module is the one place that reduces, judges and serializes
 residuals: peak reduces a list of them (keeping NaN), CheckEntry judges
-one against its tolerance, results and result_rows turn reports into
-the JSON result objects and the label,residual,tol,pass CSV rows that
-every command writes, and strict_json writes JSON text, a NaN or an
-infinity as its CSV text in a string.
+one against its tolerance, result_rows turns reports into the raw
+label,residual,tol,pass rows that every command writes and results
+keys those rows into the JSON result objects, and strict_json writes
+JSON text, a NaN or an infinity as its CSV text in a string.
 
 Both types are namedtuples, not dataclasses, so that a cold CLI process
 does not import dataclasses (and with it inspect, ast and dis) to build
@@ -107,19 +107,12 @@ def _finite(value):
     return value
 
 
-def results(reports) -> list[dict]:
-    """The JSON result objects of the reports' entries, in order."""
-    return [
-        {"label": e.label, "residual": e.residual, "tol": e.tol, "pass": e.passed}
-        for report in reports
-        for e in report.entries
-    ]
-
-
 def result_rows(reports) -> list[tuple]:
-    """The CSV rows, under RESULT_HEADER, of the reports' entries, in order."""
-    return [
-        (e.label, repr(e.residual), repr(e.tol), str(e.passed).lower())
-        for report in reports
-        for e in report.entries
-    ]
+    """The raw (label, residual, tol, passed) rows, under RESULT_HEADER, of
+    the reports' entries, in order."""
+    return [(e.label, e.residual, e.tol, e.passed) for report in reports for e in report.entries]
+
+
+def results(reports) -> list[dict]:
+    """The JSON result objects of the reports' entries: result_rows keyed by RESULT_HEADER."""
+    return [dict(zip(RESULT_HEADER, row)) for row in result_rows(reports)]

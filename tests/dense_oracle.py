@@ -78,7 +78,7 @@ class DenseHopf:
     def __init__(self, rep, hc):
         p, q = rep.params.p, rep.params.q
         lp, lq = math.log(p), math.log(q)
-        xt = [x / rep.params.alpha for x in rep.x_lattice]
+        xt = [rep.params.l * k / rep.params.alpha for k in range(rep.dim)]
         m = one_site(rep)
 
         def diag(pre, e, ln):

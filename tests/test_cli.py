@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from pqosc.cli import USAGE, ConfigError, build_config, read_pairs, run
+from pqosc.cli import USAGE, run
 
 
 def run_capture(capsys, argv):
@@ -223,6 +223,25 @@ def test_hopf_check_golden(capsys, name, flags, want, fmt):
     assert out == (GOLDEN / f"{name}.{fmt}").read_text(encoding="utf-8")
 
 
+@pytest.mark.parametrize("name, argv, want", [
+    ("numbers_p2_q3", ["numbers", "--p", "2", "--q", "3"], 0),
+    ("spectrum_p2_q3_nmax5", ["spectrum", "--p", "2", "--q", "3", "--n-max", "5"], 0),
+    ("rep_check_p2_q3", ["rep-check", "--p", "2", "--q", "3"], 0),
+    # the literal Q lattice at alpha = 2 is not the grading one: exit 1
+    ("rep_check_p2_q3_alpha2_literal",
+     ["rep-check", "--p", "2", "--q", "3", "--alpha", "2", "--mode", "literal"], 1),
+    ("hopf_solve_p2_q3_b0.7",
+     ["hopf-solve", "--p", "2", "--q", "3", "--beta1", "0.7", "--beta2", "0.7"], 0),
+    # the q = 0.5 point is degenerate, so sweep exits 1 with an error row
+    ("sweep_p2_q0.5_3", ["sweep", "--config", str(GOLDEN / "sweep_p2_q0.5_3.cfg")], 1),
+], ids=["numbers", "spectrum", "rep-check", "rep-check-literal", "hopf-solve", "sweep"])
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_command_golden(capsys, name, argv, want, fmt):
+    code, out, err = run_capture(capsys, [*argv, "--format", fmt, "--no-timestamp"])
+    assert (code, err) == (want, "")
+    assert out == (GOLDEN / f"{name}.{fmt}").read_text(encoding="utf-8")
+
+
 @pytest.mark.parametrize("beta", ["700", "1e10"])
 def test_hopf_solve_overflow_names_the_exponent(capsys, beta):
     code, out, err = run_capture(capsys, [
@@ -307,13 +326,14 @@ def test_hopf_solve_nonfinite_offset_exit_two(capsys, offset):
 @pytest.mark.parametrize("command", [
     "numbers", "spectrum", "rep-check", "calculus-check", "hopf-solve", "hopf-check", "sweep",
 ])
-def test_negative_n_max_exit_two(capsys, command):
-    code, out, err = run_capture(capsys, [command, "--p", "2", "--q", "3", "--n-max", "-1"])
-    assert code == 2
-    assert out == ""
-    assert err.startswith("error: ConfigError: n_max must be nonnegative")
-    with pytest.raises(ConfigError):
-        build_config(read_pairs("p = 2\nq = 3\nn_max = -1"))
+def test_negative_n_max_exit_two(tmp_path, capsys, command):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("p = 2\nq = 3\nn_max = -1")
+    for argv in (["--p", "2", "--q", "3", "--n-max", "-1"], ["--config", str(cfg)]):
+        code, out, err = run_capture(capsys, [command, *argv])
+        assert code == 2
+        assert out == ""
+        assert err == "error: ConfigError: n_max must be nonnegative, got -1\n"
 
 
 def test_hopf_solve_constraints_pass(capsys):
@@ -373,14 +393,31 @@ def test_config_file_and_flag_override(tmp_path, capsys):
     assert "timestamp" not in payload
 
 
-def test_parse_config_defaults_and_errors():
-    cfg = build_config(read_pairs("p = 2\nq = 3\nalpha = 1\nbeta = 0\nl = 1"))
-    assert cfg.dim == 16 and cfg.n_max == 20 and cfg.tol == 1e-10
-    assert cfg.mode == "grading" and cfg.fmt == "json"
-    with pytest.raises(ConfigError):
-        build_config(read_pairs("p = 2\nbogus = 7"))
-    with pytest.raises(ConfigError):
-        build_config(read_pairs("p = 2"))  # q missing
+def test_parse_config_defaults_and_errors(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("p = 2\nq = 3\nalpha = 1\nbeta = 0\nl = 1")
+    code, out, err = run_capture(capsys, ["numbers", "--config", str(cfg), "--no-timestamp"])
+    assert (code, err) == (0, "")
+    payload = json.loads(out)  # the default format is JSON
+    assert payload["options"] == {"dim": 16, "n_max": 20, "tol": 1e-10, "mode": "grading"}
+    assert '"dim": 16,' in out and '"n_max": 20,' in out  # integers, not floats
+    assert len(payload["table"]) == 21
+    for text, message in (
+        ("p = 2\nbogus = 7", "line 2: unknown key 'bogus'"),
+        ("p = 2", "missing required parameter 'q'"),
+    ):
+        cfg.write_text(text)
+        got = run_capture(capsys, ["numbers", "--config", str(cfg)])
+        assert got == (2, "", f"error: ConfigError: {message}\n")
+
+
+def test_config_not_utf8_exit_two(tmp_path, capsys):
+    cfg = tmp_path / "latin1.cfg"
+    cfg.write_bytes(b"p = 2\nq = 3 \xff\n")
+    code, out, err = run_capture(capsys, ["numbers", "--config", str(cfg)])
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: ConfigError: {cfg} is not UTF-8: ")
+    assert "0xff in position 12" in err
 
 
 def test_degenerate_config_exit_two(tmp_path, capsys):
