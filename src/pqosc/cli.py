@@ -374,7 +374,7 @@ def run(argv: list[str]) -> int:
         values = {}
         if config:
             try:
-                with open(config, "r", encoding="utf-8") as handle:
+                with open(config, "r", encoding="utf-8-sig") as handle:  # a BOM is not a key
                     text = handle.read()
             except UnicodeDecodeError as exc:
                 raise ConfigError(f"{config} is not UTF-8: {exc}") from None

@@ -177,12 +177,14 @@ def solve_coefficients(hp: HopfParams) -> HopfCoefficients:
 
 
 def _power(base: float, t: float, where: str) -> float:
-    """base**t; where that overflows, ExponentOverflowError naming the exponent of e."""
+    """base**t for base >= 0; where that leaves the double range,
+    ExponentOverflowError naming the exponent of e (inf at base 0)."""
     try:
         return base**t
-    except OverflowError:
+    except (OverflowError, ZeroDivisionError):  # 0.0**t, t < 0: the base underflowed
+        exponent = t * math.log(base) if base else math.inf
         raise ExponentOverflowError(
-            f"{where}: exponent {t * math.log(base)!r} exceeds {EXP_LIMIT:g}"
+            f"{where}: exponent {exponent!r} exceeds {EXP_LIMIT:g}"
         ) from None
 
 
@@ -193,16 +195,19 @@ def _rel(a: float, b: float) -> float:
 def check_constraints(hc: HopfCoefficients, hp: HopfParams, tol: float = 1e-12) -> CheckReport:
     """Residuals of every scalar equality the coefficient system satisfies."""
     p, q, alpha, l = hp.p, hp.q, hp.alpha, hp.l
-    g = hc.gamma
-    # exponents twice those of c1..c4, so these can overflow where the solve did not
+    a1, a2, a3, a4, A, g = hc.alpha1, hc.alpha2, hc.alpha3, hc.alpha4, hc.A, hc.gamma
+    # Every power goes through _power, whose error names the power and its
+    # row.  The *_ag exponents are twice those of c1..c4, so these can
+    # overflow where the solve did not.
     p_ag = _power(p, -alpha * g, "p**(-alpha*gamma) in c1 c3 = p^-alpha gamma")
     q_ag = _power(q, alpha * g, "q**(alpha*gamma) in c2 c4 = q^alpha gamma")
-    pq_ag = _power(p * q, alpha * g, "(p*q)**(alpha*gamma) in gamma equation cross-multiplied")
+    cross = "gamma equation cross-multiplied"
+    pq_ag = _power(p * q, alpha * g, f"(p*q)**(alpha*gamma) in {cross}")
     pairs = [
-        ("c1 = p^-a1*gamma", hc.c1, p ** (-hc.alpha1 * g)),
-        ("c2 = q^a2*gamma", hc.c2, q ** (hc.alpha2 * g)),
-        ("c3 = p^-a3*gamma", hc.c3, p ** (-hc.alpha3 * g)),
-        ("c4 = q^a4*gamma", hc.c4, q ** (hc.alpha4 * g)),
+        ("c1 = p^-a1*gamma", hc.c1, _power(p, -a1 * g, "p**(-a1*gamma) in c1 = p^-a1*gamma")),
+        ("c2 = q^a2*gamma", hc.c2, _power(q, a2 * g, "q**(a2*gamma) in c2 = q^a2*gamma")),
+        ("c3 = p^-a3*gamma", hc.c3, _power(p, -a3 * g, "p**(-a3*gamma) in c3 = p^-a3*gamma")),
+        ("c4 = q^a4*gamma", hc.c4, _power(q, a4 * g, "q**(a4*gamma) in c4 = q^a4*gamma")),
         ("c5 = 1", hc.c5, 1.0),
         ("c6 = 1", hc.c6, 1.0),
         ("c7 = 0", hc.c7, 0.0),
@@ -212,18 +217,21 @@ def check_constraints(hc: HopfCoefficients, hp: HopfParams, tol: float = 1e-12) 
         ("c11 = -1", hc.c11, -1.0),
         ("c12 = -1", hc.c12, -1.0),
         ("c13 = 0", hc.c13, 0.0),
-        ("alpha1 = alpha3", hc.alpha1, hc.alpha3),
-        ("alpha2 = alpha4", hc.alpha2, hc.alpha4),
-        ("A = p^-a3l q^a2l", hc.A, p ** (-hc.alpha3 * l) * q ** (hc.alpha2 * l)),
-        ("A = p^-a1l q^a4l", hc.A, p ** (-hc.alpha1 * l) * q ** (hc.alpha4 * l)),
-        ("A = (q/p)^(alpha l/2)", hc.A, (q / p) ** (0.5 * alpha * l)),
+        ("alpha1 = alpha3", a1, a3),
+        ("alpha2 = alpha4", a2, a4),
+        ("A = p^-a3l q^a2l", A, _power(p, -a3 * l, "p**(-a3*l) in A = p^-a3l q^a2l")
+         * _power(q, a2 * l, "q**(a2*l) in A = p^-a3l q^a2l")),
+        ("A = p^-a1l q^a4l", A, _power(p, -a1 * l, "p**(-a1*l) in A = p^-a1l q^a4l")
+         * _power(q, a4 * l, "q**(a4*l) in A = p^-a1l q^a4l")),
+        ("A = (q/p)^(alpha l/2)", A,
+         _power(q / p, 0.5 * alpha * l, "(q/p)**(alpha*l/2) in A = (q/p)^(alpha l/2)")),
         ("c1 c3 = p^-alpha gamma", hc.c1 * hc.c3, p_ag),
         ("c2 c4 = q^alpha gamma", hc.c2 * hc.c4, q_ag),
-        (
-            "gamma equation cross-multiplied",
-            pq_ag * (p ** (-hp.beta1) - hc.A * p ** (-hp.beta2)),
-            q ** hp.beta1 - hc.A * q ** hp.beta2,
-        ),
+        (cross,
+         pq_ag * (_power(p, -hp.beta1, f"p**(-beta1) in {cross}")
+                  - A * _power(p, -hp.beta2, f"p**(-beta2) in {cross}")),
+         _power(q, hp.beta1, f"q**beta1 in {cross}")
+         - A * _power(q, hp.beta2, f"q**beta2 in {cross}")),
     ]
     entries = tuple(CheckEntry(label, _rel(a, b), tol) for label, a, b in pairs)
     metadata = {

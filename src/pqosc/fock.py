@@ -173,12 +173,12 @@ def check_relations(rep: FockRep, mode: str = "grading", tol: float = 1e-10) -> 
     the top level's a a+ entry is corrupted by the truncation.  In
     grading mode P, Q are the stored diagonals; in literal mode they are
     recomputed as diag(p**-(alpha*nu_k + beta)), diag(q**(alpha*nu_k +
-    beta)) from the eigenvalues nu_k of N.  Every operator involved is a
-    weighted shift, so each residual is one loop over the levels, with
-    the operands of the shift products in the same order.  A NaN weight
-    makes its residuals NaN, and they fail.  Failures are reported, not
-    raised.  Raises ValueError for dim < 2, which has no interior level
-    to compare.
+    beta)) from the eigenvalues nu_k of N.  Each product in the relations
+    (a a+, a+ a, N a, a N, N a+, a+ N) is a Shift.@ product, equal bit
+    for bit to the dense matrix product, so each residual is one loop
+    over the levels.  A NaN weight makes its residuals NaN, and they
+    fail.  Failures are reported, not raised.  Raises ValueError for
+    dim < 2, which has no interior level to compare.
     """
     if mode not in ("grading", "literal"):
         raise ValueError(f"mode must be 'grading' or 'literal', got {mode!r}")
@@ -186,27 +186,22 @@ def check_relations(rep: FockRep, mode: str = "grading", tol: float = 1e-10) -> 
         raise ValueError(f"relations need dim >= 2 (an interior level), got {rep.dim}")
     params = rep.params
     l = params.l
-    n = rep.ops["N"].weights
+    a, ad, n = rep.ops["a"], rep.ops["a+"], rep.ops["N"]
     if mode == "grading":
         p_gen, q_gen = rep.ops["P"].weights, rep.ops["Q"].weights
     else:
-        expo = [params.alpha * nu + params.beta for nu in n]
+        expo = [params.alpha * nu + params.beta for nu in n.weights]
         lp, lq = math.log(params.p), math.log(params.q)
         p_gen = checked_exps([-t * lp for t in expo])
         q_gen = checked_exps([t * lq for t in expo])
 
-    a, ad = rep.ops["a"].weights, rep.ops["a+"].weights
     ql = params.q ** l
     pl = params.p ** (-l)
-    # Level k of a a+ is a[k+1] ad[k] (interior levels only), of a+ a it is
-    # ad[k-1] a[k], of N a it is N[k-1] a[k] and of N a+ it is N[k+1] ad[k];
-    # a level shifted out of the truncation reads 0.
-    a_ad = [u * v for u, v in zip(a[1:], ad)]
-    ad_a = [u * v for u, v in zip((0.0,) + ad, a)]
+    a_ad, ad_a = (a @ ad).weights[:-1], (ad @ a).weights[:-1]  # the interior levels
     r_q = [u - ql * v - g for u, v, g in zip(a_ad, ad_a, p_gen)]
     r_p = [u - pl * v - g for u, v, g in zip(a_ad, ad_a, q_gen)]
-    r_lower = [m * u - u * v + l * u for m, u, v in zip((0.0,) + n, a, n)]
-    r_raise = [m * u - u * v - l * u for m, u, v in zip(n[1:] + (0.0,), ad, n)]
+    r_lower = [u - v + l * w for u, v, w in zip((n @ a).weights, (a @ n).weights, a.weights)]
+    r_raise = [u - v - l * w for u, v, w in zip((n @ ad).weights, (ad @ n).weights, ad.weights)]
 
     entries = (
         CheckEntry("aa+ - q^l a+a = P", peak(r_q), tol),
@@ -219,7 +214,7 @@ def check_relations(rep: FockRep, mode: str = "grading", tol: float = 1e-10) -> 
         "dim": rep.dim,
         "mode": mode,
         "x0": rep.x0,
-        "nu0": n[0],
+        "nu0": n.weights[0],
         "maxweight": rep.maxweight,
     }
     return CheckReport("fock-relations", entries, metadata)

@@ -13,15 +13,17 @@ two sides differ by exactly 2*gamma); that gap is reported as a
 diagnostic, never asserted.
 
 Every one-site operator is a weighted shift (fock.Shift).  _symbols
-realizes the rules on a representation: the shifts of the symbols, the
-coproduct table and the counit.  The four exponential factors G1, H2,
-G3, H4 are the rows of one factor table, (base, ln base, slope s) for
-base^(s N); each factor's diagonal, coproduct scalar, counit and
-antipode twist are formed from its row.  Each check builds from these
-tables only what it reads.  Coassociativity is an identity in the
-algebra, so it is decided on symbol words, at O(words * dim) and with no
-three-site array.  Every other operator is a sum of tensor products of
-shifts, [(coef, (Shift, ...))]: the counit and antipode on one site, the
+realizes the rules on a representation: one number operator
+N = diag(l*k / alpha), the shifts of the symbols, the coproduct table
+and the counit.  The four exponential factors G1, H2, G3, H4 are the
+rows of one factor table, (base, ln base, slope s) for base^(s N); each
+factor's diagonal, coproduct scalar, counit and antipode twist are
+formed from its row, and D(N), eps(N) and S(N) act on the same N, so
+D(G) = G(D(N)) at every alpha.  Each check builds from these tables only
+what it reads.  Coassociativity is an identity in the algebra, so it is
+decided on symbol words, at O(words * dim) and with no three-site array.
+Every other operator is a sum of tensor products of shifts,
+[(coef, (Shift, ...))]: the counit and antipode on one site, the
 homomorphism check on two, where a product of terms is a term of the
 sites' Shift.@ products.  fock.tensor_blocks reduces such a sum to its
 offset blocks, which are compared entry by entry.  No dense matrix is
@@ -76,30 +78,29 @@ def _argpeak(values: Sequence[float]) -> int:
 
 
 def _symbols(rep: FockRep, hc: HopfCoefficients) -> tuple:
-    """The coproduct and counit rules realized on rep: (ops, delta, eps, factors, xt).
+    """The coproduct and counit rules realized on rep: (ops, delta, eps, factors).
 
     ops maps each symbol to its shift, delta each symbol to its coproduct
-    [(coef, (s1, s2))], eps each symbol to its counit.  xt is the lattice
-    of a bare N exponent: the slot alpha*N carries x_k = l*k, the
-    diagonal of rep's own N, so a factor base^(s N) is
-    diag(base^(s x_k / alpha)), evaluated by structure.checked_exps,
-    which raises ExponentOverflowError where an exponent leaves
-    EXP_LIMIT.  factors maps each exponential factor to its (base,
-    ln base, s).
+    [(coef, (s1, s2))], eps each symbol to its counit, and factors each
+    exponential factor to its (base, ln base, s).  Every rule reads one
+    number operator, ops["N"] = diag(x_k / alpha): the slot alpha*N
+    carries x_k = l*k, the diagonal of rep's own N.  A factor base^(s N)
+    is evaluated by structure.checked_exps, which raises
+    ExponentOverflowError where an exponent leaves EXP_LIMIT.
     """
     require_nonzero_alpha(rep.params)
-    p, q = rep.params.p, rep.params.q
+    p, q, alpha = rep.params.p, rep.params.q, rep.params.alpha
     lp, lq = math.log(p), math.log(q)
-    xt = [x / rep.params.alpha for x in rep.ops["N"].weights]
     factors = {
         "G1": (p, lp, -hc.alpha1),
         "H2": (q, lq, hc.alpha2),
         "G3": (p, lp, -hc.alpha3),
         "H4": (q, lq, hc.alpha4),
     }
-    ops = {s: rep.ops[s] for s in ("1", "a", "a+", "N")}
+    ops = {s: rep.ops[s] for s in ("1", "a", "a+")}
+    ops["N"] = n = Shift(0, tuple([x / alpha for x in rep.ops["N"].weights]))
     for f, (_, ln, s) in factors.items():
-        ops[f] = Shift(0, checked_exps([s * x * ln for x in xt]))
+        ops[f] = Shift(0, checked_exps([s * x * ln for x in n.weights]))
     delta = {
         "1": [(1.0, ("1", "1"))],
         "a+": [(hc.c1, ("a+", "G1")), (hc.c2, ("H2", "a+"))],
@@ -109,7 +110,7 @@ def _symbols(rep: FockRep, hc: HopfCoefficients) -> tuple:
     delta.update({f: [(b ** (s * hc.gamma), (f, f))] for f, (b, _, s) in factors.items()})
     eps = {"1": 1.0, "a+": hc.c7, "a": hc.c8, "N": hc.c9}
     eps.update({f: b ** (s * hc.c9) for f, (b, _, s) in factors.items()})
-    return ops, delta, eps, factors, xt
+    return ops, delta, eps, factors
 
 
 def check_coassociativity(rep: FockRep, hc: HopfCoefficients, tol: float = 1e-10) -> CheckReport:
@@ -137,7 +138,7 @@ def check_coassociativity(rep: FockRep, hc: HopfCoefficients, tol: float = 1e-10
     """
     if rep.dim < 3:
         raise ValueError(f"coassociativity needs dim >= 3 (an interior level), got {rep.dim}")
-    ops, delta, _, _, _ = _symbols(rep, hc)
+    ops, delta, _, _ = _symbols(rep, hc)
     inner = {s: op.weights[: rep.dim - 2] for s, op in ops.items()}
     norm = {s: peak(w) for s, w in inner.items()}
     gens = ("a", "a+", "N")
@@ -182,7 +183,7 @@ def check_coassociativity(rep: FockRep, hc: HopfCoefficients, tol: float = 1e-10
 
 def check_counit(hc: HopfCoefficients, rep: FockRep, tol: float = 1e-12) -> CheckReport:
     """(id (x) eps)D(g) = g = (eps (x) id)D(g) on the generators."""
-    ops, delta, eps, _, _ = _symbols(rep, hc)
+    ops, delta, eps, _ = _symbols(rep, hc)
     entries = []
     for g in ("a", "a+", "N", "1"):
         terms = delta[g]
@@ -206,7 +207,7 @@ def check_antipode(hc: HopfCoefficients, rep: FockRep, tol: float = 1e-10) -> Ch
     gaps against eps(g)*1 go to metadata["axiom_closure"] as
     diagnostics; for g = N the gap equals 2*|gamma| exactly.
     """
-    ops, delta, eps, factors, xt = _symbols(rep, hc)
+    ops, delta, eps, factors = _symbols(rep, hc)
     one, a, ad, n_op = (ops[s] for s in ("1", "a", "a+", "N"))
     neg_c10, neg_c11 = -hc.c10, -hc.c11
     sops = {
@@ -217,7 +218,8 @@ def check_antipode(hc: HopfCoefficients, rep: FockRep, tol: float = 1e-10) -> Ch
     }
     for f, (base, ln, s) in factors.items():
         pre, e = base ** (s * hc.c13), -s * hc.c12
-        sops[f] = Shift(0, tuple([pre * v for v in checked_exps([e * x * ln for x in xt])]))
+        twist = checked_exps([e * x * ln for x in n_op.weights])
+        sops[f] = Shift(0, tuple([pre * v for v in twist]))
     entries = []
     closure = {}
     for g in ("a", "a+", "N", "1"):
@@ -265,7 +267,7 @@ def check_homomorphism(
         if not math.isclose(got, want, rel_tol=1e-12, abs_tol=1e-12):
             raise ValueError(f"hp.{name} = {got} does not match the representation ({want})")
 
-    ops, delta, _, _, _ = _symbols(rep, hc)
+    ops, delta, _, _ = _symbols(rep, hc)
     delta_a, delta_ad = ([(t, (ops[s1], ops[s2])) for t, (s1, s2) in delta[g]] for g in ("a", "a+"))
 
     def product(left: list, right: list, scale: float) -> list:

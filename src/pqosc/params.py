@@ -5,7 +5,8 @@ positive bases p, q; an exponent slope alpha and offset beta; and a
 ladder grading step l.  Everything downstream divides by
 p**(-l) - q**l, so the single hard restriction beyond positivity of the
 bases is (p*q)**l != 1, enforced here through the equivalent condition
-|l * ln(p*q)| > EPS_DEGENERATE.
+|l * (ln p + ln q)| > EPS_DEGENERATE on the L = ln p + ln q that the
+bracket divides by; p*q itself may underflow or overflow.
 """
 
 from __future__ import annotations
@@ -75,7 +76,7 @@ class DeformationParams(namedtuple("DeformationParams", "p q alpha beta l")):
     """Immutable (p, q, alpha, beta, l) tuple.
 
     Instances produced by :func:`validate` satisfy p > 0, q > 0 and
-    |l * ln(p*q)| > EPS_DEGENERATE.  alpha = 0 is representable (the
+    |l * (ln p + ln q)| > EPS_DEGENERATE.  alpha = 0 is representable (the
     structure function is then constant in n) but is rejected by the
     operators that divide by alpha.  `params._replace(p=...)` makes a
     changed copy, with bracket_constants of its own.
@@ -124,7 +125,7 @@ def validate(p: float, q: float, alpha: float, beta: float, l: float) -> Deforma
     for name, value in (("alpha", alpha), ("beta", beta), ("l", l)):
         if not math.isfinite(value):
             raise ParameterError(f"{name} must be finite, got {value}")
-    if abs(l * math.log(p * q)) <= EPS_DEGENERATE:
+    if abs(l * (math.log(p) + math.log(q))) <= EPS_DEGENERATE:
         raise DegenerateDenominatorError(
             f"(p*q)**l = 1 within {EPS_DEGENERATE:g}: p={p}, q={q}, l={l}"
         )

@@ -147,6 +147,7 @@ def check_pq_inversion(params: DeformationParams, n_max: int, tol: float = 1e-11
         _, w_dual = _level_brackets(other, n_max)
     except ArithmeticError:
         # Raise what the per-level loop raises first: params, then dual, at each level.
+        # ln(1/q) can round apart from -ln(q), so the dual's guard may fail a level first.
         for n in range(n_max + 1):
             lambda_n(n, params)
             lambda_n(n, other)

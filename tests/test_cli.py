@@ -1,11 +1,15 @@
+import contextlib
 import csv
 import io
 import json
+import re
 import tracemalloc
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import pqosc
 from pqosc.cli import USAGE, run
 
 
@@ -282,7 +286,13 @@ def test_hopf_solve_equal_offsets_give_gamma_beta(capsys, beta):
     (["--p", "1.0693851663098843", "--q", "0.01861223253226228", "--l", "-1.6593689425963842",
       "--beta1", "96.7704499859417", "--beta2", "-178.04499990541228"],
      "exponent magnitude 712.68"),
-], ids=["cross-multiplied", "A-times-power"])
+    # p**(-a3*l) = (1e-150)**-5 in a constraint row is past the double range
+    (["--p", "1e-150", "--q", "1e-100", "--alpha", "10", "--beta1", "0", "--beta2", "0"],
+     "p**(-a3*l) in A = p^-a3l q^a2l: exponent 1726.9388"),
+    # q/p underflows to 0.0, which has no negative power
+    (["--p", "1e200", "--q", "1e-199", "--alpha", "-1", "--beta1", "0", "--beta2", "0"],
+     "(q/p)**(alpha*l/2) in A = (q/p)^(alpha l/2): exponent inf exceeds 700"),
+], ids=["cross-multiplied", "A-times-power", "constraint-row", "constraint-row-zero-base"])
 def test_hopf_solve_overflow_past_a_finite_power_names_the_exponent(capsys, flags, message):
     code, out, err = run_capture(capsys, ["hopf-solve", *flags])
     assert (code, out) == (3, "")
@@ -418,6 +428,28 @@ def test_config_not_utf8_exit_two(tmp_path, capsys):
     assert (code, out) == (2, "")
     assert err.startswith(f"error: ConfigError: {cfg} is not UTF-8: ")
     assert "0xff in position 12" in err
+
+
+def test_config_may_start_with_a_byte_order_mark(tmp_path, capsys):
+    cfg = tmp_path / "bom.cfg"
+    cfg.write_bytes(b"\xef\xbb\xbfp = 2\nq = 3\n")
+    got = run_capture(capsys, ["numbers", "--config", str(cfg), "--n-max", "2", "--no-timestamp"])
+    want = run_capture(capsys, ["numbers", "--p", "2", "--q", "3", "--n-max", "2", "--no-timestamp"])
+    assert got == want
+    assert got[0] == 0
+
+
+def test_bases_whose_product_underflows_are_valid(capsys):
+    # p*q = 1e-400 underflows to 0.0; ln p + ln q does not
+    code, out, err = run_capture(capsys, [
+        "numbers", "--p", "1e-200", "--q", "1e-200", "--n-max", "1", "--no-timestamp",
+    ])
+    assert (code, err) == (0, "")
+    assert [row["f"] for row in json.loads(out)["table"]] == [0.0, 1.0]
+    # from n = 2 on the bracket's exponents leave the guard: a numeric failure
+    code, out, err = run_capture(capsys, ["numbers", "--p", "1e-200", "--q", "1e-200"])
+    assert (code, out) == (3, "")
+    assert err.startswith("error: ExponentOverflowError: ")
 
 
 def test_degenerate_config_exit_two(tmp_path, capsys):
@@ -670,3 +702,44 @@ def test_sweep_csv_rows_match_json_points(tmp_path, capsys):
     errors = [row for row in rows[1:] if row[6:] == ["", "", "false"]]
     assert len(errors) == 2 and all("DegenerateDenominator" in row[5] for row in errors)
     assert {row[8] for row in rows[1:]} == {"true", "false"}
+
+
+def pqosc_errors() -> set[str]:
+    """The names of the exception classes the pqosc modules define."""
+    modules = [getattr(pqosc, m) for m in pqosc._EXPORTS] + [pqosc.cli]
+    return {
+        name for module in modules for name, value in vars(module).items()
+        if isinstance(value, type) and issubclass(value, Exception)
+        and value.__module__.startswith("pqosc.")
+    }
+
+
+BASE = st.floats(-300.0, 300.0).map(lambda e: 10.0 ** e)  # log-uniform in 1e-300..1e300
+MIXED = st.one_of(  # small, unit-sized and huge, of either sign
+    st.sampled_from([0.0, 1.0, -1.0, 0.5, 2.0]),
+    st.builds(lambda sign, e: sign * 10.0 ** e, st.sampled_from([-1.0, 1.0]), st.floats(-15.0, 4.0)),
+)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(
+    command=st.sampled_from(COMMANDS.split(", ")),
+    p=BASE, q=BASE, alpha=MIXED, beta=MIXED, l=MIXED, beta1=MIXED, beta2=MIXED,
+    dim=st.integers(4, 8), n_max=st.integers(0, 30), fmt=st.sampled_from(["json", "csv"]),
+)
+def test_run_never_raises_and_names_its_error(command, p, q, alpha, beta, l, beta1, beta2,
+                                              dim, n_max, fmt):
+    """Any parameters give exit 0-3; an exit 2 or 3 names a pqosc error or
+    ArithmeticError, never a bare ValueError, OverflowError or ZeroDivisionError."""
+    values = dict(p=p, q=q, alpha=alpha, beta=beta, l=l, beta1=beta1, beta2=beta2,
+                  dim=dim, n_max=n_max)
+    argv = [command, "--format", fmt, "--no-timestamp"]
+    for key, value in values.items():
+        argv += ["--" + key.replace("_", "-"), repr(value)]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = run(argv)
+    assert code in (0, 1, 2, 3), argv
+    if code >= 2:
+        name = re.match(r"error: (\w+): ", err.getvalue()).group(1)
+        assert name in pqosc_errors() | {"ArithmeticError"}, (argv, err.getvalue())

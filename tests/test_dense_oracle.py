@@ -114,7 +114,7 @@ def test_tensor_blocks_layout_matches_kron():
     both three-site expansions of the coproduct."""
     hc, rep = hopf_case(2.0, 3.0, 0.7, 5)
     d = rep.dim
-    ops, delta, eps, _, _ = hopf._symbols(rep, hc)
+    ops, delta, eps, _ = hopf._symbols(rep, hc)
     dense = dense_oracle.DenseHopf(rep, hc)
     for gen in ("1", "a", "a+", "N"):
         terms = delta[gen]

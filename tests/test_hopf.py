@@ -347,7 +347,7 @@ def test_residual_rejects_a_cut_block(rep8, solved):
     # cut to dim - 1 levels must be refused, not compared on the first dim - 1.
     # S(1) = 1, so m(id (x) S)D(1) is the product of the two sites of D(1).
     _, hc = solved
-    ops, delta, eps, _, _ = hopf._symbols(rep8, hc)
+    ops, delta, eps, _ = hopf._symbols(rep8, hc)
     m_id_s = tensor_blocks([(t, (ops[s1] @ ops[s2],)) for t, (s1, s2) in delta["1"]], rep8.dim)
     target = [eps["1"]] * rep8.dim
     closure = check_antipode(hc, rep8).metadata["axiom_closure"]["1"]
@@ -356,6 +356,30 @@ def test_residual_rejects_a_cut_block(rep8, solved):
         hopf._residual(m_id_s, {(0,): target[:-1]})
     with pytest.raises(ValueError, match="entries"):
         hopf._residual({(0,): target[:-1]}, m_id_s)
+
+
+@pytest.mark.parametrize("p, q, alpha, beta1, beta2", [
+    (2, 3, 1, 0.7, 0.7),
+    (2, 3, 0.5, 0.7, 0.7),
+    (0.5, 3, 2, 1.0, 0.0),
+], ids=["alpha-1", "alpha-0.5", "alpha-2"])
+def test_coproduct_of_a_factor_is_the_factor_of_the_coproduct_of_N(p, q, alpha, beta1, beta2):
+    # D(G) = base^(s gamma) G (x) G must equal G(D(N)) = base^(s D(N)) entry
+    # by entry: the factors and D(N) read one number operator at every alpha
+    hp = validate_hopf(p, q, alpha, 1, beta1, beta2)
+    hc = solve_coefficients(hp)
+    rep = build(hp.base_params(), 8, x0=0.0)
+    ops, delta, _, factors = hopf._symbols(rep, hc)
+
+    def two_site(terms):
+        (block,) = tensor_blocks([(t, (ops[s1], ops[s2])) for t, (s1, s2) in terms], 8).values()
+        return block
+
+    delta_n = two_site(delta["N"])
+    for f, (_, ln, s) in factors.items():
+        want = [math.exp(s * ln * x) for x in delta_n]
+        gap = max(abs(u - v) / v for u, v in zip(two_site(delta[f]), want))
+        assert gap <= 1e-13, (f, gap)
 
 
 def test_homomorphism_transport_gap():

@@ -24,6 +24,16 @@ def test_validate_rejects_pq_equal_one():
         validate(2, 0.5, 1, 0, 1)
 
 
+@pytest.mark.parametrize("p, q, l", [(1e-200, 1e-200, 1.0), (1e-300, 1e-30, -0.5), (1e200, 1e200, 2.0)])
+def test_validate_decides_on_the_log_sum_where_pq_leaves_the_range(p, q, l):
+    # p*q underflows to 0 or overflows to inf; ln p + ln q, the L the bracket
+    # divides by, is finite and far from 0
+    params = validate(p, q, 1, 0, l)
+    assert params.bracket_constants[1] == 0.5 * (math.log(p) + math.log(q))
+    with pytest.raises(DegenerateDenominatorError):
+        validate(p, 1 / p, 1, 0, l)
+
+
 def test_validate_rejects_nonpositive_base():
     with pytest.raises(NonPositiveBaseError):
         validate(-1, 3, 1, 0, 1)
@@ -32,9 +42,10 @@ def test_validate_rejects_nonpositive_base():
 
 
 def test_validate_rejects_l_zero():
-    # l = 0 makes (p*q)**l = 1 regardless of the bases
-    with pytest.raises(DegenerateDenominatorError):
-        validate(2, 3, 1, 0, 0)
+    # l = 0 makes (p*q)**l = 1 regardless of the bases, also where p*q overflows
+    for p, q in ((2, 3), (1e200, 1e200)):
+        with pytest.raises(DegenerateDenominatorError):
+            validate(p, q, 1, 0, 0)
 
 
 def test_zero_alpha_is_soft():
