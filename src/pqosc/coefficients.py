@@ -97,7 +97,9 @@ class HopfCoefficients:
     c13: float
 
     def as_dict(self) -> dict:
-        return dict(vars(self))  # the fields in order; dataclasses.asdict deep-copies each one
+        # the declared fields in order, and no instance attribute;
+        # dataclasses.asdict would deep-copy each one
+        return {f: getattr(self, f) for f in self.__dataclass_fields__}
 
 
 def _exp(t: float) -> float:

@@ -107,9 +107,12 @@ class FockRep(namedtuple("FockRep", "params dim x0 maxweight weights ops")):
     "a+", "N", "P", "Q" to their shifts: a has offset -1 and weights
     sqrt(w_k), a+ offset +1 and weights sqrt(w_{k+1}); N, P, Q and 1 are
     diagonal (offset 0).
-    """
 
-    __slots__ = ()
+    No __slots__: the instance __dict__ may hold the Hopf rule tables
+    that hopf._symbols builds from rep and one HopfCoefficients; ==,
+    repr, _asdict and _replace never read it, and _replace makes a rep
+    without it.  ops is read-only: the memo is built from it.
+    """
 
     def generator(self, symbol: str) -> Shift:
         try:

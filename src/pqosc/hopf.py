@@ -19,9 +19,11 @@ and the counit.  The four exponential factors G1, H2, G3, H4 are the
 rows of one factor table, (base, ln base, slope s) for base^(s N); each
 factor's diagonal, coproduct scalar, counit and antipode twist are
 formed from its row, and D(N), eps(N) and S(N) act on the same N, so
-D(G) = G(D(N)) at every alpha.  Each check builds from these tables only
-what it reads.  Coassociativity is an identity in the algebra, so it is
-decided on symbol words, at O(words * dim) and with no three-site array.
+D(G) = G(D(N)) at every alpha.  The tables are built once per (rep, hc)
+and kept on rep, so the checks on one representation share them; each
+check builds from them only what it reads and changes none of them.
+Coassociativity is an identity in the algebra, so it is decided on
+symbol words, at O(words * dim) and with no three-site array.
 Every other operator is a sum of tensor products of shifts,
 [(coef, (Shift, ...))]: the counit and antipode on one site, the
 homomorphism check on two, where a product of terms is a term of the
@@ -87,7 +89,16 @@ def _symbols(rep: FockRep, hc: HopfCoefficients) -> tuple:
     carries x_k = l*k, the diagonal of rep's own N.  A factor base^(s N)
     is evaluated by structure.checked_exps, which raises
     ExponentOverflowError where an exponent leaves EXP_LIMIT.
+
+    The tables are built once per (rep, hc) and kept in rep.__dict__ as
+    (hc, tables), read back while hc is the same object: HopfCoefficients
+    is frozen, so the same object means the same values, and a replaced
+    hc is rebuilt.  Only a successful build is kept, so a failing one
+    raises on every call.  Callers only read the tables.
     """
+    memo = rep.__dict__.get("_symbols")
+    if memo is not None and memo[0] is hc:
+        return memo[1]
     require_nonzero_alpha(rep.params)
     p, q, alpha = rep.params.p, rep.params.q, rep.params.alpha
     lp, lq = math.log(p), math.log(q)
@@ -110,7 +121,9 @@ def _symbols(rep: FockRep, hc: HopfCoefficients) -> tuple:
     delta.update({f: [(b ** (s * hc.gamma), (f, f))] for f, (b, _, s) in factors.items()})
     eps = {"1": 1.0, "a+": hc.c7, "a": hc.c8, "N": hc.c9}
     eps.update({f: b ** (s * hc.c9) for f, (b, _, s) in factors.items()})
-    return ops, delta, eps, factors
+    tables = ops, delta, eps, factors
+    rep.__dict__["_symbols"] = (hc, tables)
+    return tables
 
 
 def check_coassociativity(rep: FockRep, hc: HopfCoefficients, tol: float = 1e-10) -> CheckReport:

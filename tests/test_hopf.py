@@ -411,3 +411,68 @@ def test_homomorphism_rejects_mismatched_rep(solved):
     other_rep = build(validate_hopf(2, 3, 2, 1, 1.0, 0.0).base_params(), 8, x0=0.0)
     with pytest.raises(ValueError):
         check_homomorphism(other_rep, hc, hp)
+
+
+def _transport_point():
+    hp = validate_hopf(0.5, 3, 2, 1, 1.0, 0.0)  # beta1 - beta2 = l: all four checks run
+    return hp, solve_coefficients(hp)
+
+
+def _four_checks(rep, hc, hp):
+    return {
+        "coassoc": lambda: check_coassociativity(rep, hc),
+        "counit": lambda: check_counit(hc, rep),
+        "antipode": lambda: check_antipode(hc, rep),
+        "hom": lambda: check_homomorphism(rep, hc, hp),
+    }
+
+
+def test_checks_on_one_rep_share_one_symbols_build():
+    hp, hc = _transport_point()
+    checks = _four_checks(build(hp.base_params(), 8, x0=0.0), hc, hp)
+    fresh = {k: check().to_json() for k, check in checks.items()}
+    for order in (["coassoc", "counit", "antipode", "hom"], ["hom", "antipode", "counit", "coassoc"]):
+        rep = build(hp.base_params(), 8, x0=0.0)
+        twin = build(hp.base_params(), 8, x0=0.0)
+        seen = (rep == twin, repr(rep), rep._asdict())
+        checks = _four_checks(rep, hc, hp)
+        for key in order + order:
+            assert checks[key]().to_json() == fresh[key], key
+        assert (rep == twin, repr(rep), rep._asdict()) == seen
+        assert "_symbols" in vars(rep) and "_symbols" not in vars(rep._replace())
+    rep = build(hp.base_params(), 8, x0=0.0)
+    assert hopf._symbols(rep, hc) is hopf._symbols(rep, hc)
+
+
+def test_a_replaced_hc_on_the_same_rep_is_rebuilt():
+    hp, hc = _transport_point()
+    rep = build(hp.base_params(), 8, x0=0.0)
+    bad = replace(hc, c1=hc.c1 * 1.01)
+    for check in _four_checks(rep, hc, hp).values():
+        check()
+    got = {k: check().to_json() for k, check in _four_checks(rep, bad, hp).items()}
+    fresh = build(hp.base_params(), 8, x0=0.0)
+    assert got == {k: check().to_json() for k, check in _four_checks(fresh, bad, hp).items()}
+    assert got["coassoc"] != check_coassociativity(rep, hc).to_json()
+
+
+def test_a_failed_symbols_build_is_not_kept(rep8, solved):
+    _, hc = solved
+    bad = replace(hc, alpha1=hc.alpha1 * 300)
+    messages = []
+    for _ in range(2):
+        with pytest.raises(ExponentOverflowError) as err:
+            hopf._symbols(rep8, bad)
+        messages.append(str(err.value))
+        assert "_symbols" not in vars(rep8)
+    assert messages[0] == messages[1]
+
+
+def test_coefficients_as_dict_holds_the_fields_alone():
+    hp, hc = _transport_point()
+    rep = build(hp.base_params(), 8, x0=0.0)
+    for check in _four_checks(rep, hc, hp).values():
+        check()
+    check_constraints(hc, hp)
+    object.__setattr__(hc, "_extra", 0.0)  # an instance attribute never reaches the JSON
+    assert list(hc.as_dict()) == list(hc.__dataclass_fields__)
