@@ -20,10 +20,6 @@ _EXPORTS = {
         "NonPositiveBaseError",
         "DegenerateDenominatorError",
         "ZeroAlphaError",
-        "NotLowestWeightError",
-        "GammaUndefinedError",
-        "ADegenerateError",
-        "Beta1Beta2MismatchError",
         "validate",
         "dual",
     ),
@@ -36,7 +32,7 @@ _EXPORTS = {
         "ExponentOverflowError",
     ),
     "report": ("CheckEntry", "CheckReport"),
-    "fock": ("FockRep", "check_relations", "apply_word"),
+    "fock": ("FockRep", "NotLowestWeightError", "check_relations", "apply_word"),
     "calculus": ("check_realization",),
     "spectrum": (
         "SpectrumTable",
@@ -52,8 +48,11 @@ _EXPORTS = {
         "validate_hopf",
         "solve_coefficients",
         "check_constraints",
+        "GammaUndefinedError",
+        "ADegenerateError",
     ),
     "hopf": (
+        "Beta1Beta2MismatchError",
         "check_coassociativity",
         "check_counit",
         "check_antipode",

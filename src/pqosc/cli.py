@@ -10,8 +10,9 @@ last of a repeated flag wins, and -h or --help anywhere prints USAGE.
 Reports go to stdout or `--out` as JSON (default) or CSV; the JSON is
 strict, a NaN or an infinity written as the string "nan", "inf" or
 "-inf" (its CSV text).  Exit codes: 0 all checks pass, 1 at least one
-check failed (reports are still emitted), 2 invalid parameters, config
-or arguments, 3 internal numeric failure (overflow, undefined gamma);
+check failed (reports are still emitted), 2 a ParameterError (invalid
+parameters, config or arguments: ConfigError and fock.FockError derive
+from it) or OSError, 3 an ArithmeticError (overflow, undefined gamma);
 the message names the error.
 
 run merges and checks the options once, into one dict, and validates
@@ -51,7 +52,7 @@ import io
 import sys
 from itertools import product
 
-from .params import Beta1Beta2MismatchError, DeformationParams, FockError, ParameterError, validate
+from .params import DeformationParams, ParameterError, validate
 from .report import RESULT_HEADER, CheckEntry, CheckReport, result_rows, results, strict_json
 from .structure import ExponentOverflowError, brackets
 
@@ -75,7 +76,7 @@ _DEFAULTS = {
 _CALCULUS_EXPONENTS = [-3.0, -2.0, -1.0, 0.0, 1.0, 2.0, 3.0, 4.0, 5.0]
 
 
-class ConfigError(ValueError):
+class ConfigError(ParameterError):
     """Unreadable or inconsistent configuration."""
 
 
@@ -216,11 +217,13 @@ def _cmd_calculus_check(params: DeformationParams, opts: dict, payload: dict):
 
 
 def _require_hopf(params: DeformationParams, opts: dict):
-    """The HopfParams of params and opts; raises ConfigError when an offset is missing."""
+    """The HopfParams of params and opts; ConfigError when an offset is missing or beta != 0."""
     from .coefficients import validate_hopf
 
     if "beta1" not in opts or "beta2" not in opts:
         raise ConfigError("hopf commands need beta1 and beta2")
+    if params.beta != 0.0:  # -0.0 passes
+        raise ConfigError(f"hopf commands take beta1 and beta2, not beta = {params.beta}")
     return validate_hopf(params.p, params.q, params.alpha, params.l, opts["beta1"], opts["beta2"])
 
 
@@ -253,7 +256,7 @@ def _cmd_hopf_check(params: DeformationParams, opts: dict, payload: dict):
     reports = [constraints, coassoc, counit, antipode]
     try:
         reports.append(hopf.check_homomorphism(rep, hc, hp, tol))
-    except Beta1Beta2MismatchError:
+    except hopf.Beta1Beta2MismatchError:
         payload["homomorphism"] = "skipped: beta1 - beta2 != l"
 
     payload["coefficients"] = hc.as_dict()
@@ -275,7 +278,7 @@ def _cmd_sweep(opts: dict, payload: dict):
         base = tuple(point.values())
         try:
             reports = (_relations_report(validate(*base), opts),)
-        except (ParameterError, FockError, ConfigError, ExponentOverflowError) as exc:
+        except (ParameterError, ExponentOverflowError) as exc:
             point["error"] = f"{type(exc).__name__}: {exc}"
             rows.append(base + (point["error"], None, None, False))
             any_fail = True
@@ -401,7 +404,7 @@ def run(argv: list[str]) -> int:
             payload["timestamp"] = datetime.now(timezone.utc).isoformat()
         _emit(payload, fmt, out, table)
         return code
-    except (ConfigError, ParameterError, FockError, OSError) as exc:
+    except (ParameterError, OSError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
     except ArithmeticError as exc:  # overflow, an undefined gamma, a degenerate A

@@ -40,17 +40,18 @@ import sys
 from collections import namedtuple
 from dataclasses import dataclass
 
-from .params import (  # the three errors are re-exported: they live in params
-    ADegenerateError,
-    Beta1Beta2MismatchError,
-    DeformationParams,
-    GammaUndefinedError,
-    ParameterError,
-    require_nonzero_alpha,
-    validate,
-)
+from .params import DeformationParams, ParameterError, require_nonzero_alpha, validate
 from .report import CheckEntry, CheckReport
 from .structure import EXP_LIMIT, ExponentOverflowError, checked_exp
+
+
+class GammaUndefinedError(ArithmeticError):
+    """The scalar equation for gamma has no real solution (R <= 0), or
+    R's numerator is too small for ln(R) to be resolved in doubles."""
+
+
+class ADegenerateError(ArithmeticError):
+    """The denominator of the R ratio vanishes."""
 
 
 class HopfParams(namedtuple("HopfParams", "p q alpha l beta1 beta2")):

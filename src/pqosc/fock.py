@@ -24,27 +24,33 @@ a weighted shift: an (offset, weights) pair acting as
 relation residuals and apply_word cost O(dim).  Weights, states and
 lattices are tuples of Python floats: at these sizes a loop over levels
 costs less than importing numpy, so building and checking a
-representation loads neither numpy nor dataclasses.  A sum of tensor
-products of shifts on several sites reduces to flat offset blocks
-through tensor_blocks, which the Hopf checks compare.  No dense matrix
+representation loads neither numpy nor dataclasses.  No dense matrix
 is formed here: a shift's matrix has weights[k] at entry (k + offset, k).
+A representation that does not exist raises FockError, a ParameterError.
 """
 
 from __future__ import annotations
 
 import math
 from collections import namedtuple
-from operator import add, mul
+from operator import mul
 from typing import Optional, Sequence
 
-from .params import (
-    DeformationParams,
-    DimensionMismatchError,
-    FockError,
-    NotLowestWeightError,
-)
+from .params import DeformationParams, ParameterError
 from .report import CheckEntry, CheckReport, peak
 from .structure import brackets, checked_exps
+
+
+class FockError(ParameterError):
+    """The requested truncated representation does not exist."""
+
+
+class NotLowestWeightError(FockError):
+    """w_0 != 0, so the level below the cutoff is not annihilated."""
+
+
+class DimensionMismatchError(ValueError):
+    """Operand shapes do not match the representation dimension."""
 
 
 def _shifted(w: tuple, off: int) -> tuple:
@@ -53,31 +59,6 @@ def _shifted(w: tuple, off: int) -> tuple:
     if off >= 0:
         return w[off:] + (0.0,) * min(off, n)
     return (0.0,) * min(-off, n) + w[: max(n + off, 0)]
-
-
-def tensor_blocks(terms: Sequence[tuple], keep: int) -> dict:
-    """Reduce a sum of tensor products of shifts to {offset tuple: entries}.
-
-    terms is a sequence of (coef, (Shift, ...)) pairs, one shift per
-    site.  A term's entries are its weights at input levels below keep on
-    every site, flattened row-major, each formed as coef * (w1 * (w2 ...)),
-    the order in which the dense Kronecker product multiplies: seeded with
-    the last site's weights, multiplied inward through the first site,
-    coef applied last.  Terms with the same offset tuple share a block
-    and are summed in term order; terms with different offset tuples
-    never share an entry.  So a lone shift's blocks, at keep = dim, are
-    {(offset,): weights}.
-    """
-    out: dict = {}
-    for coef, shifts in terms:
-        w = shifts[-1].weights[:keep]
-        for s in shifts[-2::-1]:
-            w = [u * v for u in s.weights[:keep] for v in w]
-        w = [coef * v for v in w]
-        key = tuple([s.offset for s in shifts])
-        acc = out.get(key)
-        out[key] = w if acc is None else list(map(add, acc, w))
-    return out
 
 
 class Shift(namedtuple("Shift", "offset weights")):

@@ -6,8 +6,8 @@ re-exported here.  This module checks the solved constants on tensor
 products of truncated matrix representations: coassociativity and the
 counit axiom on the generators, the homomorphism property on the
 twisted commutation relation (which requires b1 - b2 = l so the
-representation satisfies the relation), and the antipode
-mutual-equality identity.  The full antipode axiom
+representation satisfies the relation, else Beta1Beta2MismatchError),
+and the antipode mutual-equality identity.  The full antipode axiom
 m(id (x) S)D(h) = eps(h) 1 visibly fails on these constants (for N the
 two sides differ by exactly 2*gamma); that gap is reported as a
 diagnostic, never asserted.
@@ -27,7 +27,7 @@ symbol words, at O(words * dim) and with no three-site array.
 Every other operator is a sum of tensor products of shifts,
 [(coef, (Shift, ...))]: the counit and antipode on one site, the
 homomorphism check on two, where a product of terms is a term of the
-sites' Shift.@ products.  fock.tensor_blocks reduces such a sum to its
+sites' Shift.@ products.  tensor_blocks reduces such a sum to its
 offset blocks, which are compared entry by entry.  No dense matrix is
 formed and nothing here imports numpy.
 """
@@ -35,12 +35,11 @@ formed and nothing here imports numpy.
 from __future__ import annotations
 
 import math
-from operator import sub
+from operator import add, sub
 from typing import Sequence
 
 from .coefficients import (  # noqa: F401  (re-exported: the scalar half of the system)
     ADegenerateError,
-    Beta1Beta2MismatchError,
     GammaUndefinedError,
     HopfCoefficients,
     HopfParams,
@@ -50,12 +49,42 @@ from .coefficients import (  # noqa: F401  (re-exported: the scalar half of the 
 )
 from .params import require_nonzero_alpha
 from .report import CheckEntry, CheckReport, peak
-from .fock import FockRep, Shift, tensor_blocks
+from .fock import FockRep, Shift
 from .structure import checked_exps
+
+
+class Beta1Beta2MismatchError(ValueError):
+    """The relation check needs beta1 - beta2 = l."""
+
 
 # ---------------------------------------------------------------------------
 # Tensor-product evaluation
 # ---------------------------------------------------------------------------
+
+
+def tensor_blocks(terms: Sequence[tuple], keep: int) -> dict:
+    """Reduce a sum of tensor products of shifts to {offset tuple: entries}.
+
+    terms is a sequence of (coef, (Shift, ...)) pairs, one shift per
+    site.  A term's entries are its weights at input levels below keep on
+    every site, flattened row-major, each formed as coef * (w1 * (w2 ...)),
+    the order in which the dense Kronecker product multiplies: seeded with
+    the last site's weights, multiplied inward through the first site,
+    coef applied last.  Terms with the same offset tuple share a block
+    and are summed in term order; terms with different offset tuples
+    never share an entry.  So a lone shift's blocks, at keep = dim, are
+    {(offset,): weights}.
+    """
+    out: dict = {}
+    for coef, shifts in terms:
+        w = shifts[-1].weights[:keep]
+        for s in shifts[-2::-1]:
+            w = [u * v for u in s.weights[:keep] for v in w]
+        w = [coef * v for v in w]
+        key = tuple([s.offset for s in shifts])
+        acc = out.get(key)
+        out[key] = w if acc is None else list(map(add, acc, w))
+    return out
 
 
 def _residual(left: dict, right: dict) -> float:

@@ -7,6 +7,8 @@ p**(-l) - q**l, so the single hard restriction beyond positivity of the
 bases is (p*q)**l != 1, enforced here through the equivalent condition
 |l * (ln p + ln q)| > EPS_DEGENERATE on the L = ln p + ln q that the
 bracket divides by; p*q itself may underflow or overflow.
+ParameterError is also the base of fock.FockError and cli.ConfigError,
+so it names every refused input: the CLI exits 2 on it.
 """
 
 from __future__ import annotations
@@ -33,40 +35,6 @@ class DegenerateDenominatorError(ParameterError):
 
 class ZeroAlphaError(ParameterError):
     """alpha = 0; fatal only where the exponent shift l/alpha is needed."""
-
-
-# The truncated-representation errors live here, beside ParameterError, so
-# that code catching them (the CLI) need not import fock; fock re-exports
-# them.
-
-
-class FockError(ValueError):
-    """The requested truncated representation does not exist."""
-
-
-class NotLowestWeightError(FockError):
-    """w_0 != 0, so the level below the cutoff is not annihilated."""
-
-
-class DimensionMismatchError(ValueError):
-    """Operand shapes do not match the representation dimension."""
-
-
-# The coefficient-solve errors live here too, so that the CLI catches them
-# without importing coefficients; coefficients and hopf re-export them.
-
-
-class GammaUndefinedError(ArithmeticError):
-    """The scalar equation for gamma has no real solution (R <= 0), or
-    R's numerator is too small for ln(R) to be resolved in doubles."""
-
-
-class ADegenerateError(ArithmeticError):
-    """The denominator of the R ratio vanishes."""
-
-
-class Beta1Beta2MismatchError(ValueError):
-    """The relation check needs beta1 - beta2 = l."""
 
 
 # A namedtuple base, not a dataclass, so that a cold process need not import

@@ -27,7 +27,8 @@ from pqosc import (
     validate_hopf,
 )
 from pqosc import hopf
-from pqosc.fock import build, tensor_blocks
+from pqosc.fock import build
+from pqosc.hopf import tensor_blocks
 
 import dense_oracle
 

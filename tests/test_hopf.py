@@ -18,7 +18,8 @@ from pqosc import (
     validate_hopf,
 )
 from pqosc import hopf
-from pqosc.fock import build, tensor_blocks
+from pqosc.fock import build
+from pqosc.hopf import tensor_blocks
 from pqosc.params import ZeroAlphaError
 from pqosc.structure import EXP_LIMIT, ExponentOverflowError, bracket
 

@@ -1,6 +1,7 @@
 """Each cold CLI process loads only its command's modules; the lazy package names still resolve."""
 
 import ast
+import importlib
 import os
 import subprocess
 import sys
@@ -229,19 +230,55 @@ def test_public_names_resolve():
         pqosc.no_such_name
 
 
-@pytest.mark.parametrize("name", ["GammaUndefinedError", "ADegenerateError", "Beta1Beta2MismatchError"])
+def test_every_error_class_lives_where_it_is_raised():
+    """Each exception class a pqosc module defines is constructed in that
+    module, or is the base of a class that is."""
+    for path, tree in parsed(SRC / "pqosc"):
+        classes = [node for node in tree.body if isinstance(node, ast.ClassDef)]
+        if not classes:  # __main__ runs the CLI on import
+            continue
+        module = importlib.import_module(f"pqosc.{path.stem}")
+        errors = [c.name for c in classes if issubclass(getattr(module, c.name), BaseException)]
+        built = {node.func.id for node in ast.walk(tree)
+                 if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)}
+        subclasses = {}
+        for c in classes:
+            for base in c.bases:
+                if isinstance(base, ast.Name):
+                    subclasses.setdefault(base.id, []).append(c.name)
+
+        def raised(name: str) -> bool:
+            return name in built or any(map(raised, subclasses.get(name, ())))
+
+        unraised = [name for name in errors if not raised(name)]
+        assert not unraised, f"{path.name} defines {unraised} and never raises them"
+
+
+# Each Hopf error is defined where it is raised; hopf re-exports the solve's.
+SOLVE_ERROR_HOMES = {
+    "GammaUndefinedError": "coefficients",
+    "ADegenerateError": "coefficients",
+    "Beta1Beta2MismatchError": "hopf",
+}
+
+
+@pytest.mark.parametrize("name", SOLVE_ERROR_HOMES)
 def test_solve_errors_are_one_class(name):
     from pqosc import hopf
 
-    assert getattr(params, name) is getattr(coefficients, name) is getattr(hopf, name)
-    assert getattr(pqosc, name) is getattr(params, name)
+    home = SOLVE_ERROR_HOMES[name]
+    assert getattr(pqosc, name) is getattr(getattr(pqosc, home), name) is getattr(hopf, name)
+    assert getattr(pqosc, name).__module__ == f"pqosc.{home}"
+    assert not hasattr(params, name)
 
 
 def test_fock_error_maps_to_exit_two(monkeypatch, capsys):
     from pqosc import fock
 
-    assert fock.FockError is params.FockError
-    assert fock.NotLowestWeightError is pqosc.NotLowestWeightError
+    assert pqosc.NotLowestWeightError is fock.NotLowestWeightError
+    assert issubclass(fock.NotLowestWeightError, fock.FockError)
+    assert issubclass(fock.FockError, params.ParameterError)
+    assert not hasattr(params, "FockError")
 
     def refuse(*args, **kwargs):
         raise pqosc.fock.FockError("refused")
